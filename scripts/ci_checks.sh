@@ -31,6 +31,9 @@ python -m repro sweep --smoke --telemetry "$TELE_TMP"
 echo "== chaos parity smoke (injected faults must converge) =="
 python -m repro sweep --smoke-chaos
 
+echo "== perfbench smokes (every pass checked against perfbench/references.json) =="
+python -m pytest -q perfbench/test_perfbench.py
+
 echo "== harness telemetry: obs top + fleet Chrome export render =="
 python -m repro obs top "$TELE_TMP/cold.telemetry.jsonl" \
     --chrome-out "$TELE_TMP/fleet.trace.json"

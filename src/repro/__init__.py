@@ -22,35 +22,56 @@ Layer map (bottom-up): :mod:`repro.simkernel` (event kernel) ->
 :mod:`repro.mpi` / :mod:`repro.parastation` (system software) ->
 :mod:`repro.ompss` / :mod:`repro.deep` (programming model + the
 paper's contribution) -> :mod:`repro.apps` / :mod:`repro.analysis`.
+
+The public names below and every subpackage load on first access, so
+harness-only imports (:mod:`repro.sweep`, :mod:`repro.obs`) never load
+the simulator.
 """
 
-from repro._version import __version__
-from repro.simkernel import Simulator
-from repro.deep import DeepSystem, Machine, MachineConfig
-from repro.deep.application import (
-    Application,
-    ExchangePhase,
-    KernelPhase,
-    RunReport,
-    SerialPhase,
-    run_application,
-)
-from repro.mpi import MPIWorld
-from repro.ompss import OmpSsRuntime, TaskGraph
+import importlib
 
-__all__ = [
-    "Application",
-    "DeepSystem",
-    "ExchangePhase",
-    "KernelPhase",
-    "MPIWorld",
-    "Machine",
-    "MachineConfig",
-    "OmpSsRuntime",
-    "RunReport",
-    "SerialPhase",
-    "Simulator",
-    "TaskGraph",
-    "__version__",
-    "run_application",
-]
+from repro._version import __version__
+
+#: Public name -> the module that defines it.  Resolved on first access
+#: (PEP 562), so ``import repro.sweep`` or ``import repro.errors`` does
+#: not pay for the simulator, numpy and networkx.
+_EXPORTS = {
+    "Application": "repro.deep.application",
+    "DeepSystem": "repro.deep",
+    "ExchangePhase": "repro.deep.application",
+    "KernelPhase": "repro.deep.application",
+    "MPIWorld": "repro.mpi",
+    "Machine": "repro.deep",
+    "MachineConfig": "repro.deep",
+    "OmpSsRuntime": "repro.ompss",
+    "RunReport": "repro.deep.application",
+    "SerialPhase": "repro.deep.application",
+    "Simulator": "repro.simkernel",
+    "TaskGraph": "repro.ompss",
+    "run_application": "repro.deep.application",
+}
+
+#: Subpackages and modules reachable as ``repro.<name>`` without an
+#: explicit ``import repro.<name>``.
+_SUBMODULES = frozenset({
+    "analysis", "apps", "config", "deep", "errors", "fidelity", "fsutil",
+    "hardware", "io", "mpi", "network", "obs", "ompss", "parastation",
+    "resilience", "simkernel", "sweep", "units",
+})
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -21,6 +21,7 @@ removes them wholesale.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import time
 import warnings
@@ -46,6 +47,8 @@ class ResultCache:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.objects = self.root / CACHE_FORMAT / "objects"
+        # Plain-string prefix: a cache hit builds no Path objects.
+        self._objects = str(self.objects)
         #: Hit/miss/store counters for progress and harness telemetry.
         self.hits = 0
         self.misses = 0
@@ -69,8 +72,8 @@ class ResultCache:
     def entry_dir(self, digest: str) -> Path:
         return self.objects / digest[:2] / digest
 
-    def _result_path(self, digest: str) -> Path:
-        return self.entry_dir(digest) / "result.json"
+    def _result_file(self, digest: str) -> str:
+        return os.sep.join((self._objects, digest[:2], digest, "result.json"))
 
     # -- protocol --------------------------------------------------------
     def get(self, digest: str) -> Optional[tuple[dict, dict]]:
@@ -79,14 +82,14 @@ class ResultCache:
         A corrupt entry (interrupted legacy write, manual tampering) is
         treated as a miss — the job simply re-runs and overwrites it.
         """
-        path = self._result_path(digest)
         try:
-            text = path.read_text()
+            with open(self._result_file(digest), "rb") as fh:
+                data = fh.read()
         except OSError:
             self.misses += 1
             return None
         try:
-            doc = json.loads(text)
+            doc = json.loads(data)
             payload, meta = doc["payload"], doc.get("meta", {})
             schema = doc.get("schema", CACHE_SCHEMA)
         except (ValueError, KeyError, TypeError):
@@ -95,9 +98,14 @@ class ResultCache:
             self.corrupt += 1
             self.misses += 1
             return None
-        if schema != CACHE_SCHEMA:
-            # An unknown (usually future) entry format: unreadable for
-            # this reader, so it counts as corrupt and the job re-runs.
+        if (
+            schema != CACHE_SCHEMA
+            or not isinstance(payload, dict)
+            or not isinstance(meta, dict)
+        ):
+            # An unknown (usually future) entry format, or a payload or
+            # meta that is not a JSON object: unreadable for this
+            # reader, so it counts as corrupt and the job re-runs.
             self.corrupt += 1
             self.misses += 1
             return None
@@ -134,16 +142,17 @@ class ResultCache:
                 "created_unix": time.time(),
             },
         }
-        atomic_write_json(self._result_path(digest), doc)
+        result_file = self._result_file(digest)
+        atomic_write_json(result_file, doc)
         try:
-            self.bytes_promoted += self._result_path(digest).stat().st_size
+            self.bytes_promoted += os.stat(result_file).st_size
         except OSError:  # pragma: no cover - raced removal
             pass
         self.stores += 1
         return entry
 
     def has(self, digest: str) -> bool:
-        return self._result_path(digest).exists()
+        return os.path.exists(self._result_file(digest))
 
     def artifact_paths(self, digest: str) -> list[Path]:
         """The stored artifact files of an entry (empty if none)."""

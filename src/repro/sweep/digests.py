@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
 
@@ -27,7 +27,26 @@ from repro.errors import ConfigurationError
 #: segregate experiments without touching code).
 CODE_VERSION_ENV = "REPRO_SWEEP_CODE_VERSION"
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_NON_FINITE = (float("inf"), float("-inf"))
+
+#: The one encoder behind every digest input.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class _Rejected(Exception):
+    """A value :func:`canonical` cannot digest.
+
+    Raised with the message around the offending value's path; each
+    enclosing container appends its own step on the way out, so the
+    path is only built when something is wrong.
+    """
+
+    def __init__(self, before: str, after: str) -> None:
+        super().__init__(before, after)
+        self.before = before
+        self.after = after
+        #: Path steps below the root, innermost first.
+        self.steps: list[str] = []
 
 
 def canonical(obj: Any, _path: str = "config") -> Any:
@@ -38,34 +57,49 @@ def canonical(obj: Any, _path: str = "config") -> Any:
     with :class:`ConfigurationError` — silent ``repr`` fallbacks would
     make digests depend on memory addresses.
     """
+    try:
+        return _canonical(obj)
+    except _Rejected as exc:
+        path = _path + "".join(reversed(exc.steps))
+        raise ConfigurationError(exc.before + path + exc.after) from None
+
+
+def _canonical(obj: Any) -> Any:
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
         return obj
     if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ConfigurationError(
-                f"non-finite float at {_path} cannot be digested"
-            )
+        if obj != obj or obj in _NON_FINITE:
+            raise _Rejected("non-finite float at ", " cannot be digested")
         return obj
     if isinstance(obj, (list, tuple)):
-        return [canonical(v, f"{_path}[{i}]") for i, v in enumerate(obj)]
+        items = []
+        for v in obj:
+            try:
+                items.append(_canonical(v))
+            except _Rejected as exc:
+                exc.steps.append(f"[{len(items)}]")
+                raise
+        return items
     if isinstance(obj, dict):
         out = {}
         for k in obj:
             if not isinstance(k, str):
-                raise ConfigurationError(
-                    f"config key {k!r} at {_path} must be a string"
-                )
-            out[k] = canonical(obj[k], f"{_path}.{k}")
+                raise _Rejected(f"config key {k!r} at ", " must be a string")
+            try:
+                out[k] = _canonical(obj[k])
+            except _Rejected as exc:
+                exc.steps.append(f".{k}")
+                raise
         return out
-    raise ConfigurationError(
-        f"config value of type {type(obj).__name__} at {_path} is not "
-        f"JSON-serialisable; use scalars, lists and string-keyed dicts"
+    raise _Rejected(
+        f"config value of type {type(obj).__name__} at ",
+        " is not JSON-serialisable; use scalars, lists and string-keyed dicts",
     )
 
 
 def canonical_json(obj: Any) -> str:
     """Canonical compact JSON used for all digest inputs."""
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(canonical(obj))
 
 
 def _sha256(text: str) -> str:
@@ -132,17 +166,32 @@ def code_version() -> str:
     return version
 
 
+def job_digests(
+    experiment: str, config: dict, seeds: Iterable[int], code: str | None = None
+) -> list[str]:
+    """The content addresses of *experiment* at *config* for each seed.
+
+    Each address is the SHA-256 of the canonical JSON of
+    ``{"experiment", "config", "seed", "code"}``.  The keys sort as
+    ``code < config < experiment < seed``, so everything but the seed
+    is encoded once and each seed only appends its number.
+    """
+    seeds = [int(seed) for seed in seeds]
+    if code is None:
+        code = code_version()
+    # Error paths name each field as if the whole key were one config.
+    experiment_json = _ENCODER.encode(canonical(experiment, "config.experiment"))
+    config_json = _ENCODER.encode(canonical(config, "config.config"))
+    code_json = _ENCODER.encode(canonical(code, "config.code"))
+    head = (
+        f'{{"code":{code_json},"config":{config_json},'
+        f'"experiment":{experiment_json},"seed":'
+    )
+    return [_sha256(f"{head}{seed}}}") for seed in seeds]
+
+
 def job_digest(
     experiment: str, config: dict, seed: int, code: str | None = None
 ) -> str:
     """The content address of one sweep job."""
-    return _sha256(
-        canonical_json(
-            {
-                "experiment": experiment,
-                "config": config,
-                "seed": int(seed),
-                "code": code if code is not None else code_version(),
-            }
-        )
-    )
+    return job_digests(experiment, config, (seed,), code)[0]

@@ -133,15 +133,13 @@ class SweepSpec:
             }
             merged.update(self.overrides.get(name, {}))
             config = digests.canonical(effective_config(name, merged))
-            for seed in self.seeds:
-                jobs.append(
-                    Job(
-                        experiment=name,
-                        config=config,
-                        seed=int(seed),
-                        digest=digests.job_digest(name, config, int(seed), code),
-                    )
-                )
+            seeds = [int(seed) for seed in self.seeds]
+            # One canonical encoding of the config serves every seed.
+            addresses = digests.job_digests(name, config, seeds, code)
+            jobs.extend(
+                Job(experiment=name, config=config, seed=seed, digest=digest)
+                for seed, digest in zip(seeds, addresses)
+            )
         return jobs
 
 
@@ -196,13 +194,11 @@ class SweepReport:
         warm (cache-served) sweeps — the determinism gate of the CI
         smoke run.
         """
-        import hashlib
-
         doc = sorted(
             (r.job.digest, digests.canonical_json(r.payload))
             for r in self.results
         )
-        blob = digests.canonical_json([list(pair) for pair in doc])
+        blob = digests.canonical_json(doc)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def as_dict(self) -> dict:

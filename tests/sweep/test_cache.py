@@ -155,3 +155,52 @@ def test_prune_without_index_is_silent(cache, recwarn):
     assert cache.prune() == 1
     assert [w for w in recwarn.list
             if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("payload", [1, 2]),
+    ("payload", "metrics"),
+    ("payload", None),
+    ("meta", ["artifacts"]),
+    ("meta", 3),
+])
+def test_non_object_payload_or_meta_is_a_corrupt_miss(cache, field, value):
+    cache.put(DIGEST, {"metrics": {"t": 1.0}})
+    path = cache.entry_dir(DIGEST) / "result.json"
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert cache.get(DIGEST) is None
+    assert cache.misses == 1 and cache.corrupt == 1 and cache.hits == 0
+
+
+def test_undecodable_entry_is_a_corrupt_miss(cache):
+    cache.put(DIGEST, {"metrics": {}})
+    (cache.entry_dir(DIGEST) / "result.json").write_bytes(b'{"payload": "\xff\xfe"}')
+    assert cache.get(DIGEST) is None
+    assert cache.corrupt == 1
+
+
+def test_sweep_reruns_entry_whose_payload_is_not_an_object(tmp_path):
+    """A list payload used to be served as a hit and crash the re-index."""
+    from repro.sweep import SweepSpec, run_sweep
+
+    spec = SweepSpec(
+        experiments=["checkpoint_resilience"], seeds=[0, 1],
+        overrides={"checkpoint_resilience": {"work_s": 200.0, "mtbf_s": 120.0}},
+    )
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_sweep(spec, cache=cache)
+    victim = cold.results[0].job.digest
+    path = cache.entry_dir(victim) / "result.json"
+    doc = json.loads(path.read_text())
+    doc["payload"] = [doc["payload"]]
+    path.write_text(json.dumps(doc))
+    (cache.root / "v1" / "index" / "runs.jsonl").unlink()
+
+    cache = ResultCache(tmp_path / "cache")
+    warm = run_sweep(spec, cache=cache)
+    assert cache.corrupt == 1
+    assert [r.cached for r in warm.results] == [False, True]
+    assert warm.digest() == cold.digest()
+    assert json.loads(path.read_text())["payload"] == cold.results[0].payload
