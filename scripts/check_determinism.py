@@ -205,9 +205,8 @@ def main(argv=None) -> int:
     # same digest as the plain run.
     from repro.sweep.policy import FailurePolicy
 
-    armed_report = run_sweep(
-        spec, jobs=1, policy=FailurePolicy(timeout_s=60.0, max_retries=3)
-    )
+    armed = FailurePolicy(timeout_s=60.0, max_retries=3)
+    armed_report = run_sweep(spec, jobs=1, policy=armed)
     pd = armed_report.digest()
     if pd != td1:
         print(
@@ -230,6 +229,21 @@ def main(argv=None) -> int:
         )
         return 1
     print(f"deterministic (failure policy on): {pd}")
+
+    # Pooled placement parity: without a policy every job is submitted
+    # to the pool at once; with the armed policy at most one job per
+    # worker is in flight.  How jobs reach the workers must not change
+    # a digest byte.
+    placements = (("submitted ahead", None), ("throttled", armed))
+    for label, policy in placements:
+        placed = run_sweep(spec, jobs=2, policy=policy).digest()
+        if placed != td1:
+            print(
+                f"POOLED PLACEMENT PERTURBED THE SWEEP ({label}): digest "
+                f"{td1} (serial) != {placed} (jobs=2)"
+            )
+            return 1
+    print(f"deterministic (pooled placement):  {td1}")
     return 0
 
 

@@ -204,6 +204,17 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
+def _default_jobs() -> int:
+    """The ``sweep --jobs`` default: the CPUs this process may run on.
+
+    The affinity mask (``taskset``, a pinned CPU set) counts where the
+    platform has one; the host's CPU count is the fallback.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an experiment x seed sweep through the cache + process pool."""
     from repro.sweep import (
@@ -215,6 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_smoke,
         run_sweep,
     )
+    from repro.errors import ConfigurationError
     from repro.sweep.digests import code_version
 
     if args.list:
@@ -230,6 +242,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             table.add_row(name, e.headline, defaults, e.title)
         table.print()
         return 0
+    if args.jobs < 0:
+        print(
+            f"sweep: --jobs must be >= 1 (or 0 for one per usable CPU), "
+            f"got {args.jobs}",
+            file=sys.stderr,
+        )
+        return 2
     if args.smoke:
         return run_smoke(
             jobs=args.jobs or 2, cache_root=args.cache_dir,
@@ -246,7 +265,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seeds=seeds,
             overrides=overrides,
         )
-    except ValueError as exc:
+        # Unknown experiments and config fields fail here, before any
+        # job runs.
+        spec.resolve()
+    except (ValueError, ConfigurationError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
 
@@ -257,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         cache = ResultCache(cache_dir)
     obs_dir = args.obs_dir or os.environ.get("REPRO_OBS_DIR") or None
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs or _default_jobs()
 
     # Harness telemetry channel: explicit --telemetry, or implied (in
     # the cache root, else a temp dir) by the live --progress view.
@@ -728,7 +750,8 @@ def main(argv=None) -> int:
     )
     p_sweep.add_argument(
         "--jobs", "-j", type=int, default=0, metavar="N",
-        help="worker processes (default: all cores; 1 = serial)",
+        help="worker processes (default: the CPUs this process may run "
+             "on; 1 = serial)",
     )
     p_sweep.add_argument(
         "--cache-dir", default=None, metavar="PATH",

@@ -2,11 +2,11 @@
 
 Expands a :class:`SweepSpec` into ``(experiment, config, seed)`` jobs,
 serves what it can from the content-addressed :class:`ResultCache`, and
-fans the misses out across a process pool.  Every job runs in its own
-worker process with a fresh interpreter state (``spawn`` start method)
-and — when observability is requested — its own private staging
-directory for exports, which the engine promotes into the cache entry
-and then materialises into the user's ``REPRO_OBS_DIR``.
+fans the misses out across a process pool whose workers start from a
+fresh interpreter state (``spawn`` start method).  When observability
+is requested, every job gets its own private staging directory for
+exports, which the engine promotes into the cache entry and then
+materialises into the user's ``REPRO_OBS_DIR``.
 
 Determinism: the simulator promises bit-identical results for identical
 ``(config, seed)`` regardless of which process runs them, so a fanned
@@ -385,7 +385,10 @@ def run_sweep(
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` runs everything inline (serial).
+        Worker processes; ``1`` runs everything inline (serial).  With
+        no *policy* and no *isolate*, up to ``2 * jobs + 1`` jobs are
+        in flight, so a worker that finishes one finds the next queued;
+        otherwise at most *jobs* are.
     cache:
         Content-addressed result cache (``None`` disables caching).
     refresh:
@@ -718,14 +721,46 @@ def run_sweep(
             # Scheduler state: jobs ready to submit, jobs sleeping off a
             # backoff delay (min-heap on release time), and in-flight
             # futures with their submit timestamps (the timeout clock).
-            # Submission is throttled to the worker count so "in flight"
-            # means "actually running" and deadlines are honest.
+            # Under a policy, and with isolation, submission is throttled
+            # to the worker count so "in flight" means "actually running"
+            # and deadlines are honest.  Otherwise workers are fed ahead:
+            # n running jobs plus the n + 1 slots of the executor's call
+            # queue, so a worker finds its next job queued while this
+            # process is still writing results.  (More would only wait
+            # in this process, and a large fill would leave its heap
+            # fragmented for the rest of the process.)
+            max_in_flight = (
+                n_workers if policy is not None or isolate
+                else 2 * n_workers + 1
+            )
             ready: deque[tuple[int, Job, int]] = deque(
                 (i, job, 0) for i, job in to_run
             )
             delayed: list[tuple[float, int, Job, int]] = []
             in_flight: dict[Future, tuple[int, Job, int, float]] = {}
             pool = make_pool()
+
+            def fill() -> bool:
+                """Submit ready jobs up to the in-flight limit.
+
+                Returns ``True`` when the pool turned out to be broken.
+                """
+                while ready and len(in_flight) < max_in_flight:
+                    i, job, att = ready.popleft()
+                    submit_event(i, job, att)
+                    try:
+                        fut = pool.submit(
+                            _pool_main,
+                            (i, att, job.experiment, job.config, job.seed,
+                             job.digest, staging_for(i), tele_path),
+                        )
+                    except BrokenExecutor:
+                        if policy is None:
+                            raise
+                        ready.appendleft((i, job, att))
+                        return True
+                    in_flight[fut] = (i, job, att, time.monotonic())
+                return False
 
             def kill_pool(reason: str, n_requeued: int) -> None:
                 # ProcessPoolExecutor cannot kill a single worker, so a
@@ -772,23 +807,7 @@ def run_sweep(
                     while delayed and delayed[0][0] <= now:
                         _, i, job, att = heapq.heappop(delayed)
                         ready.append((i, job, att))
-                    pool_broken = False
-                    while ready and len(in_flight) < n_workers:
-                        i, job, att = ready.popleft()
-                        submit_event(i, job, att)
-                        try:
-                            fut = pool.submit(
-                                _pool_main,
-                                (i, att, job.experiment, job.config, job.seed,
-                                 job.digest, staging_for(i), tele_path),
-                            )
-                        except BrokenExecutor:
-                            if policy is None:
-                                raise
-                            ready.appendleft((i, job, att))
-                            pool_broken = True
-                            break
-                        in_flight[fut] = (i, job, att, time.monotonic())
+                    pool_broken = fill()
                     if not pool_broken:
                         if not in_flight:
                             if delayed:
@@ -819,6 +838,7 @@ def run_sweep(
                             return_when=FIRST_COMPLETED,
                         )
                         tick()
+                        landed: list[tuple[int, Job, dict, float, int]] = []
                         first_break: Optional[BaseException] = None
                         for fut in finished:
                             index, job, att, _t0 = in_flight.pop(fut)
@@ -853,12 +873,17 @@ def run_sweep(
                                 else:
                                     requeue(index, job, att + 1, delay)
                             else:
-                                finish_run(
-                                    index, job, payload, wall,
-                                    attempts=att + 1,
-                                )
+                                landed.append((index, job, payload, wall, att))
                         if pool_broken and policy is None:
                             raise first_break  # pragma: no cover - defensive
+                        # Refill the freed worker slots before the cache
+                        # writes (fsync) and manifest appends below.
+                        if not (pool_broken or aborted):
+                            pool_broken = fill()
+                        for index, job, payload, wall, att in landed:
+                            finish_run(
+                                index, job, payload, wall, attempts=att + 1
+                            )
                     if pool_broken:
                         victims = drain_in_flight()
                         kill_pool("crash", len(victims))

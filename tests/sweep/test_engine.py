@@ -1,11 +1,15 @@
-"""Serial engine semantics: expansion, caching, refresh, obs artifacts."""
+"""Engine semantics: expansion, caching, refresh, obs artifacts, and
+where a pooled sweep runs its jobs."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sweep import ResultCache, SweepSpec, run_sweep
+from repro.sweep import FailurePolicy, ResultCache, SweepSpec, run_sweep
 
 SPEC = SweepSpec(
     experiments=["pingpong", "checkpoint_resilience"],
@@ -248,3 +252,90 @@ def test_run_smoke_with_telemetry_dir(tmp_path, capsys):
         assert (tmp_path / "tele" / name).exists(), name
     warm = json.loads((tmp_path / "tele" / "warm.telemetry.json").read_text())
     assert warm["cache"]["hit_rate"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Pooled sweeps: submission and worker lifetime (slow: real process pools)
+# ---------------------------------------------------------------------------
+
+#: Eight cheap jobs on two workers: room to submit more than two ahead.
+POOL_SPEC = SweepSpec(
+    experiments=list(SPEC.experiments), seeds=[0, 1, 2, 3],
+    overrides=SPEC.overrides,
+)
+
+
+def _pooled_run(tmp_path, **kwargs):
+    """A ``jobs=2`` run of POOL_SPEC: the report, the pid of every
+    ``job.start``, and the most jobs in flight the channel shows."""
+    from repro.obs.telemetry import read_events
+
+    channel = tmp_path / "telemetry.jsonl"
+    report = run_sweep(POOL_SPEC, jobs=2, telemetry=channel, **kwargs)
+    starts, submitted, ended, peak = [], 0, 0, 0
+    # The channel is appended in causal order: a worker writes job.end
+    # before the parent can collect that job and submit another one.
+    # So submissions minus ends bounds the jobs in flight from below.
+    for event in read_events(channel):
+        if event["kind"] == "job.start":
+            starts.append(event["worker"])
+        elif event["kind"] == "job.end":
+            ended += 1
+        elif event["kind"] == "job.submit":
+            submitted += 1
+            peak = max(peak, submitted - ended)
+    return report, starts, peak
+
+
+def _assert_no_live_workers(timeout_s=10.0):
+    # Poll until the deadline: when the pool's own thread reaps a worker
+    # at the same moment, a concurrent poll reports it alive once.
+    deadline = time.monotonic() + timeout_s
+    while True:
+        alive = [c for c in multiprocessing.active_children() if c.is_alive()]
+        if not alive or time.monotonic() > deadline:
+            break
+        for child in alive:
+            child.join(timeout=0.1)
+    assert not alive
+
+
+def test_policy_free_pooled_sweep_submits_ahead(tmp_path):
+    serial = run_sweep(POOL_SPEC, jobs=1)
+    report, starts, peak = _pooled_run(tmp_path)
+    assert report.digest() == serial.digest()
+    assert len(starts) == 8 and os.getpid() not in starts
+    assert len(set(starts)) <= 2
+    assert peak > 2  # more jobs in flight than there are workers
+    _assert_no_live_workers()
+
+
+@pytest.mark.parametrize(
+    "isolation",
+    [{"policy": FailurePolicy()}, {"isolate": True}],
+    ids=["policy", "isolate"],
+)
+def test_policy_or_isolate_throttles_to_the_worker_count(tmp_path, isolation):
+    serial = run_sweep(POOL_SPEC, jobs=1)
+    report, starts, peak = _pooled_run(tmp_path, **isolation)
+    assert report.digest() == serial.digest()
+    assert len(starts) == 8 and os.getpid() not in starts
+    assert peak <= 2
+    _assert_no_live_workers()
+
+
+@pytest.mark.parametrize(
+    "experiments",
+    [["collective_scale", "pingpong"], ["pingpong", "collective_scale"]],
+    ids=["first-jobs-fail", "last-jobs-fail"],
+)
+def test_no_worker_outlives_a_failing_legacy_sweep(experiments):
+    spec = SweepSpec(
+        experiments=experiments, seeds=[0, 1, 2],
+        overrides={**SPEC.overrides, "collective_scale": {"ranks": 0}},
+    )
+    with pytest.raises(ConfigurationError, match="ranks must be >= 1") as info:
+        run_sweep(spec, jobs=2)
+    # Raised in a worker: the remote traceback is its cause.
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+    _assert_no_live_workers()

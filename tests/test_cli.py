@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -102,6 +104,53 @@ class TestParseSeeds:
     def test_cli_exit_code_on_bad_seeds(self, capsys):
         assert main(["sweep", "--seeds", "5:2", "--experiments", "pingpong"]) == 2
         assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--jobs", "-1"], "--jobs must be >= 1"),
+        (["--experiments", "nosuch"], "unknown experiment 'nosuch'"),
+        (["--set", "pingpong.nosuch=1"], "no config field 'nosuch'"),
+    ],
+    ids=["jobs", "experiment", "config-field"],
+)
+def test_sweep_input_mistakes_exit_2(capsys, tmp_path, argv, message):
+    cache = tmp_path / "cache"
+    assert main(["sweep", "--cache-dir", str(cache), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: ") and message in err
+    assert "Traceback" not in err
+    assert not cache.exists()  # rejected before any job ran
+
+
+class TestDefaultJobs:
+    def test_affinity_mask_sets_the_default(self, monkeypatch):
+        from repro.__main__ import _default_jobs
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _default_jobs() == 1
+
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch):
+        from repro.__main__ import _default_jobs
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _default_jobs() == 3
+
+    def test_sweep_without_jobs_uses_the_affinity_mask(self, monkeypatch, tmp_path):
+        from repro.obs.telemetry import read_events
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        channel = tmp_path / "telemetry.jsonl"
+        assert main(["sweep", "-e", "pingpong", "-s", "0,1", "--no-cache",
+                     "--quiet", "--set", "pingpong.rounds=1",
+                     "--set", "pingpong.n_pairs=1",
+                     "--telemetry", str(channel)]) == 0
+        start = read_events(channel)[0]
+        assert start["kind"] == "sweep.start" and start["n_workers"] == 1
 
 
 # -- failure policy (sweep --retries/--fail-fast, exit code 4) ---------------
