@@ -230,13 +230,17 @@ def main(argv=None) -> int:
         return 1
     print(f"deterministic (failure policy on): {pd}")
 
-    # Pooled placement parity: without a policy every job is submitted
-    # to the pool at once; with the armed policy at most one job per
-    # worker is in flight.  How jobs reach the workers must not change
-    # a digest byte.
-    placements = (("submitted ahead", None), ("throttled", armed))
-    for label, policy in placements:
-        placed = run_sweep(spec, jobs=2, policy=policy).digest()
+    # Pooled placement parity: without a policy or isolation up to
+    # 2n+1 jobs are in flight on n workers; with the armed policy, and
+    # with a fresh worker per job, at most one job per worker is.  How
+    # jobs reach the workers must not change a digest byte.
+    placements = (
+        ("submitted ahead", {}),
+        ("throttled", {"policy": armed}),
+        ("isolated", {"isolate": True}),
+    )
+    for label, placement in placements:
+        placed = run_sweep(spec, jobs=2, **placement).digest()
         if placed != td1:
             print(
                 f"POOLED PLACEMENT PERTURBED THE SWEEP ({label}): digest "

@@ -67,10 +67,8 @@ from repro.sweep.experiments import (
 from repro.sweep.obsglue import OBS_DIR_ENV
 from repro.sweep.policy import FailurePolicy, JobFailure
 
-#: Start method for worker processes.  ``spawn`` gives per-job isolation
-#: (no inherited simulator state, no forked locks); override with
-#: ``REPRO_SWEEP_START_METHOD=fork`` to trade isolation for startup cost.
-START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
+#: Longest wait between ``heartbeat`` calls while pool workers are busy.
+HEARTBEAT_INTERVAL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -323,28 +321,66 @@ def _execute_with_chaos(
     return payload, checksum
 
 
-def _pool_main(task: tuple) -> tuple:
-    """Top-level pool entry point (must be picklable).
+def _run_task(task: tuple) -> tuple[dict, str, float]:
+    """Run one attempt of one job: the entry point of every executor
+    (must be picklable).
 
-    With a telemetry channel the worker itself emits ``job.start`` /
-    ``job.end`` — that is what gives the parent (and ``obs top``) live
-    worker occupancy instead of only after-the-fact completions.
+    Pool workers and the inline ``jobs=1`` executor both run attempts
+    through here.  With a telemetry channel the executing process
+    itself emits ``job.start`` / ``job.end`` — that is what gives the
+    parent (and ``obs top``) live worker occupancy instead of only
+    after-the-fact completions.
     """
-    index, attempt, experiment, config, seed, digest, staging_dir, telemetry_path = task
-    writer = None
-    if telemetry_path is not None:
+    (index, attempt, experiment, config, seed, digest, staging_dir,
+     telemetry, in_worker) = task
+    emit = _discard
+    if telemetry is not None:
         from repro.obs.telemetry import TelemetryWriter
 
-        writer = TelemetryWriter(telemetry_path)
-        writer.emit("job.start", job=index, worker=os.getpid(), attempt=attempt)
+        emit = TelemetryWriter(telemetry).emit
+    emit("job.start", job=index, worker=os.getpid(), attempt=attempt)
     t0 = time.perf_counter()
     payload, checksum = _execute_with_chaos(
-        experiment, config, seed, staging_dir, digest, attempt, in_worker=True
+        experiment, config, seed, staging_dir, digest, attempt, in_worker
     )
     wall = time.perf_counter() - t0
-    if writer is not None:
-        writer.emit("job.end", job=index, worker=os.getpid(), wall_s=wall)
-    return index, attempt, payload, checksum, wall
+    emit("job.end", job=index, worker=os.getpid(), wall_s=wall)
+    return payload, checksum, wall
+
+
+class _InlineExecutor:
+    """The ``jobs=1`` executor: runs each task in this process as it is
+    submitted, so its futures are complete when :meth:`submit` returns."""
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _terminate(pool) -> None:
+    """Kill every worker of *pool* and shut it down without waiting.
+
+    A ``ProcessPoolExecutor`` cannot kill a single worker, so hung or
+    cancelled jobs cost the whole pool.  (``_processes`` is ``None``
+    once the pool has been shut down; the inline executor has none.)
+    """
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.terminate()
+        except Exception:  # pragma: no cover - racing exit
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _discard(kind: str, **fields: Any) -> None:
+    """The telemetry sink of a sweep without a channel."""
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +413,6 @@ def run_sweep(
     isolate: bool = False,
     telemetry: Optional[Path] = None,
     heartbeat: Optional[Callable[[], None]] = None,
-    heartbeat_interval: float = 0.5,
     policy: Optional[FailurePolicy] = None,
 ) -> SweepReport:
     """Run (or fetch) every job of *spec*; returns a :class:`SweepReport`.
@@ -385,10 +420,10 @@ def run_sweep(
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` runs everything inline (serial).  With
-        no *policy* and no *isolate*, up to ``2 * jobs + 1`` jobs are
-        in flight, so a worker that finishes one finds the next queued;
-        otherwise at most *jobs* are.
+        ``1`` runs every job in this process; ``N >= 2`` runs every
+        cache miss on up to N spawned workers.  With no *policy* and no
+        *isolate*, up to ``2 * N + 1`` jobs are in flight, so a worker
+        that finishes one finds the next queued; otherwise at most N are.
     cache:
         Content-addressed result cache (``None`` disables caching).
     refresh:
@@ -413,8 +448,8 @@ def run_sweep(
         bit-identical with telemetry on or off.
     heartbeat:
         Zero-argument callable invoked between job completions (at
-        least every *heartbeat_interval* seconds while workers are
-        busy) — the hook that drives the live ``--progress`` view.
+        least every :data:`HEARTBEAT_INTERVAL_S` seconds while workers
+        are busy) — the hook that drives the live ``--progress`` view.
     policy:
         Failure policy (timeouts, bounded retries, pool respawn,
         quarantine).  ``None`` keeps the legacy contract: the first job
@@ -442,14 +477,16 @@ def run_sweep(
         obs_dir = Path(obs_dir)
         obs_dir.mkdir(parents=True, exist_ok=True)
 
-    tele = None
+    # Every harness event of this process goes through ``emit``: the
+    # channel's writer, or a no-op when the sweep has no channel.
+    emit: Callable[..., None] = _discard
     cache_base: dict = {}
     if telemetry is not None:
         from repro.obs.telemetry import TelemetryWriter
 
         telemetry = Path(telemetry)
-        tele = TelemetryWriter(telemetry)
-        tele.emit(
+        emit = TelemetryWriter(telemetry).emit
+        emit(
             "sweep.start",
             n_jobs=len(job_list),
             n_workers=min(jobs, len(job_list)),
@@ -481,26 +518,6 @@ def run_sweep(
         )
         fleet_index.record(manifest, known_ids=indexed_ids)
 
-    def record_quarantine_manifest(job: Job, failure: JobFailure) -> None:
-        # Quarantines are indexed under their own run id and source so
-        # they never shadow a later successful run of the same digest,
-        # and ``obs rebuild --check`` (which replays only cache-backed
-        # "sweep" manifests) stays byte-stable.
-        if fleet_index is None:
-            return
-        manifest = RunManifest(
-            run_id=f"{job.digest}:quarantine",
-            source="quarantine",
-            experiment=job.experiment,
-            config=job.config,
-            seed=job.seed,
-            code_version=code,
-            makespan_s=None,
-            partial=True,
-            status="quarantined",
-        )
-        fleet_index.record(manifest, known_ids=indexed_ids)
-
     results: dict[int, JobResult] = {}
     done = 0
 
@@ -512,6 +529,13 @@ def run_sweep(
     counters = {"retries": 0, "timeouts": 0, "pool_restarts": 0}
     aborted = False
 
+    # Scheduler state: jobs ready to submit, jobs sleeping off a
+    # backoff delay (min-heap on release time), and in-flight futures
+    # with their submit timestamps (the timeout clock).
+    ready: deque[tuple[int, Job, int]] = deque()
+    delayed: list[tuple[float, int, Job, int]] = []
+    in_flight: dict[Future, tuple[int, Job, int, float]] = {}
+
     def settle(index: int, result: JobResult) -> None:
         nonlocal done
         results[index] = result
@@ -520,11 +544,34 @@ def run_sweep(
             progress(done, len(job_list), result)
         tick()
 
-    def quarantine(
-        index: int, job: Job, attempts: int, exc: BaseException,
-        timed_out: bool = False,
-    ) -> None:
+    def requeue(index: int, job: Job, attempt: int, delay: float) -> None:
+        if delay <= 0:
+            ready.append((index, job, attempt))
+        else:
+            heapq.heappush(
+                delayed, (time.monotonic() + delay, index, job, attempt)
+            )
+
+    def fail(index: int, job: Job, attempt: int, exc: BaseException) -> None:
+        """Charge a failed attempt of *job*: the one place a failure is
+        decided.  Without a policy the exception propagates (the legacy
+        contract); otherwise the job retries after its backoff while it
+        has retry budget and the sweep is still running, and is
+        quarantined once it has not."""
         nonlocal aborted
+        if policy is None:
+            raise exc
+        fail_counts[index] = failures = fail_counts.get(index, 0) + 1
+        if failures <= policy.max_retries and not aborted:
+            delay = policy.backoff_s(job.digest, failures)
+            counters["retries"] += 1
+            emit(
+                "job.retry", job=index, failures=failures,
+                delay_s=delay, error=type(exc).__name__,
+            )
+            requeue(index, job, attempt + 1, delay)
+            return
+        timed_out = isinstance(exc, JobTimeoutError)
         failure = JobFailure(
             index=index,
             experiment=job.experiment,
@@ -533,44 +580,40 @@ def run_sweep(
             error_class=type(exc).__name__,
             message=str(exc)[:500],
             traceback_digest=_traceback_digest(exc),
-            attempts=attempts,
+            attempts=attempt + 1,
             timed_out=timed_out,
         )
         quarantined[index] = failure
-        if tele is not None:
-            tele.emit(
-                "job.quarantine", job=index, error=failure.error_class,
-                attempts=attempts, timed_out=timed_out,
-                experiment=job.experiment, seed=job.seed,
+        emit(
+            "job.quarantine", job=index, error=failure.error_class,
+            attempts=attempt + 1, timed_out=timed_out,
+            experiment=job.experiment, seed=job.seed,
+        )
+        if fleet_index is not None:
+            # Quarantines are indexed under their own run id and source
+            # so they never shadow a later successful run of the same
+            # digest, and ``obs rebuild --check`` (which replays only
+            # cache-backed "sweep" manifests) stays byte-stable.
+            manifest = RunManifest(
+                run_id=f"{job.digest}:quarantine",
+                source="quarantine",
+                experiment=job.experiment,
+                config=job.config,
+                seed=job.seed,
+                code_version=code,
+                makespan_s=None,
+                partial=True,
+                status="quarantined",
             )
-        record_quarantine_manifest(job, failure)
-        assert policy is not None
-        if policy.fail_fast:
-            aborted = True
-        if (
+            fleet_index.record(manifest, known_ids=indexed_ids)
+        if policy.fail_fast or (
             policy.max_failures is not None
             and len(quarantined) > policy.max_failures
         ):
             aborted = True
         tick()
 
-    def fail_decision(index: int, job: Job, exc: BaseException):
-        """Consume retry budget; ``("retry", delay)`` or ``("quarantine", _)``."""
-        assert policy is not None
-        fail_counts[index] = fail_counts.get(index, 0) + 1
-        if fail_counts[index] > policy.max_retries:
-            return ("quarantine", 0.0)
-        delay = policy.backoff_s(job.digest, fail_counts[index])
-        counters["retries"] += 1
-        if tele is not None:
-            tele.emit(
-                "job.retry", job=index, failures=fail_counts[index],
-                delay_s=delay, error=type(exc).__name__,
-            )
-        return ("retry", delay)
-
     # -- pass 1: cache lookups -----------------------------------------
-    to_run: list[tuple[int, Job]] = []
     for i, job in enumerate(job_list):
         hit = None if (cache is None or refresh) else cache.get(job.digest)
         if hit is not None:
@@ -578,7 +621,7 @@ def run_sweep(
             # An entry recorded without artifacts cannot serve an
             # observability-requesting sweep; re-run and upgrade it.
             if want_obs and not meta.get("artifacts"):
-                to_run.append((i, job))
+                ready.append((i, job, 0))
                 continue
             artifacts = []
             if want_obs:
@@ -589,14 +632,13 @@ def run_sweep(
             # is re-indexed from the cached artifacts.
             if indexed_ids is not None and job.digest not in indexed_ids:
                 record_manifest(job, payload, cache.artifact_paths(job.digest))
-            if tele is not None:
-                tele.emit(
-                    "cache.hit", job=i, digest=job.digest,
-                    experiment=job.experiment, seed=job.seed,
-                )
+            emit(
+                "cache.hit", job=i, digest=job.digest,
+                experiment=job.experiment, seed=job.seed,
+            )
             settle(i, JobResult(job, payload, True, 0.0, artifacts))
         else:
-            to_run.append((i, job))
+            ready.append((i, job, 0))
 
     # -- pass 2: execute misses ----------------------------------------
     staging_root = (
@@ -610,22 +652,8 @@ def run_sweep(
         d.mkdir(parents=True, exist_ok=True)
         return str(d)
 
-    def submit_event(index: int, job: Job, attempt: int = 0) -> None:
-        if tele is not None:
-            tele.emit(
-                "job.submit", job=index, digest=job.digest,
-                experiment=job.experiment, seed=job.seed, attempt=attempt,
-            )
-
-    def verify_payload(job: Job, payload: dict, checksum: str) -> None:
-        if digests.payload_checksum(payload) != checksum:
-            raise ResultIntegrityError(
-                f"payload of {job.label} failed its integrity checksum "
-                f"between worker and parent"
-            )
-
     def finish_run(
-        index: int, job: Job, payload: dict, wall: float, attempts: int = 1
+        index: int, job: Job, payload: dict, wall: float, attempts: int
     ) -> None:
         staged: list[Path] = []
         if staging_root is not None:
@@ -645,12 +673,11 @@ def run_sweep(
                 },
                 artifacts=staged,
             )
-            if tele is not None:
-                tele.emit(
-                    "cache.promote", job=index, digest=job.digest,
-                    bytes=cache.bytes_promoted - promoted_before,
-                    n_artifacts=len(staged),
-                )
+            emit(
+                "cache.promote", job=index, digest=job.digest,
+                bytes=cache.bytes_promoted - promoted_before,
+                n_artifacts=len(staged),
+            )
         record_manifest(job, payload, staged)
         if want_obs:
             for src in staged:
@@ -663,309 +690,200 @@ def run_sweep(
             ),
         )
 
-    try:
-        if jobs == 1 or len(to_run) <= 1:
-            # Serial path.  Retries and quarantine apply; timeouts do
-            # not (a process cannot kill itself mid-job).
-            for index, job in to_run:
-                if aborted:
-                    break
-                attempt = 0
-                while True:
-                    submit_event(index, job, attempt)
-                    if tele is not None:
-                        tele.emit(
-                            "job.start", job=index, worker=os.getpid(),
-                            attempt=attempt,
-                        )
-                    t0 = time.perf_counter()
-                    try:
-                        payload, checksum = _execute_with_chaos(
-                            job.experiment, job.config, job.seed,
-                            staging_for(index), job.digest, attempt,
-                            in_worker=False,
-                        )
-                        verify_payload(job, payload, checksum)
-                    except Exception as exc:
-                        if policy is None:
-                            raise
-                        verdict, delay = fail_decision(index, job, exc)
-                        if verdict == "quarantine":
-                            quarantine(index, job, attempt + 1, exc)
-                            break
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    wall = time.perf_counter() - t0
-                    if tele is not None:
-                        tele.emit(
-                            "job.end", job=index, worker=os.getpid(),
-                            wall_s=wall,
-                        )
-                    finish_run(index, job, payload, wall, attempts=attempt + 1)
-                    break
-        else:
-            method = os.environ.get(START_METHOD_ENV, "spawn")
-            ctx = get_context(method)
-            pool_kwargs: dict[str, Any] = {}
-            if isolate:
-                pool_kwargs["max_tasks_per_child"] = 1
-            tele_path = str(telemetry) if tele is not None else None
-            n_workers = min(jobs, len(to_run))
+    # One scheduler runs every sweep; only the executor differs.  With
+    # ``jobs=1`` each job runs inline as it is submitted.  Otherwise
+    # every miss, even a single one, runs on spawned workers: a timeout
+    # always has a process to kill, and the simulator stays out of this
+    # process.
+    pooled = jobs > 1
+    n_workers = min(jobs, len(ready))
+    pool_kwargs: dict[str, Any] = {}
+    if isolate:
+        pool_kwargs["max_tasks_per_child"] = 1
 
-            def make_pool() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
-                    max_workers=n_workers, mp_context=ctx, **pool_kwargs
-                )
+    def make_pool():
+        if not pooled:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(
+            max_workers=n_workers, mp_context=get_context("spawn"),
+            **pool_kwargs,
+        )
 
-            # Scheduler state: jobs ready to submit, jobs sleeping off a
-            # backoff delay (min-heap on release time), and in-flight
-            # futures with their submit timestamps (the timeout clock).
-            # Under a policy, and with isolation, submission is throttled
-            # to the worker count so "in flight" means "actually running"
-            # and deadlines are honest.  Otherwise workers are fed ahead:
-            # n running jobs plus the n + 1 slots of the executor's call
-            # queue, so a worker finds its next job queued while this
-            # process is still writing results.  (More would only wait
-            # in this process, and a large fill would leave its heap
-            # fragmented for the rest of the process.)
-            max_in_flight = (
-                n_workers if policy is not None or isolate
-                else 2 * n_workers + 1
+    # Under a policy, and with isolation, submission is throttled to
+    # the worker count so "in flight" means "actually running" and
+    # deadlines are honest.  Otherwise workers are fed ahead: n running
+    # jobs plus the n + 1 slots of the executor's call queue, so a
+    # worker finds its next job queued while this process is still
+    # writing results.  (More would only wait in this process, and a
+    # large fill would leave its heap fragmented for the rest of the
+    # process.)
+    max_in_flight = (
+        2 * n_workers + 1 if pooled and policy is None and not isolate
+        else n_workers
+    )
+    timeout_s = policy.timeout_s if policy is not None else None
+    # Crash respawns draw on this budget; timeout kills are
+    # policy-initiated and already bounded by the per-job retry
+    # budgets, so they do not consume it.  Without a policy a broken
+    # pool ends the sweep.
+    max_restarts = policy.max_pool_restarts if policy is not None else 0
+    crash_restarts = 0
+    pool = None
+
+    def fill() -> Optional[BrokenExecutor]:
+        """Submit ready jobs up to the in-flight limit, starting a pool
+        when there is none; returns the error of a broken pool."""
+        nonlocal pool
+        while ready and len(in_flight) < max_in_flight:
+            i, job, att = ready.popleft()
+            emit(
+                "job.submit", job=i, digest=job.digest,
+                experiment=job.experiment, seed=job.seed, attempt=att,
             )
-            ready: deque[tuple[int, Job, int]] = deque(
-                (i, job, 0) for i, job in to_run
-            )
-            delayed: list[tuple[float, int, Job, int]] = []
-            in_flight: dict[Future, tuple[int, Job, int, float]] = {}
-            pool = make_pool()
-
-            def fill() -> bool:
-                """Submit ready jobs up to the in-flight limit.
-
-                Returns ``True`` when the pool turned out to be broken.
-                """
-                while ready and len(in_flight) < max_in_flight:
-                    i, job, att = ready.popleft()
-                    submit_event(i, job, att)
-                    try:
-                        fut = pool.submit(
-                            _pool_main,
-                            (i, att, job.experiment, job.config, job.seed,
-                             job.digest, staging_for(i), tele_path),
-                        )
-                    except BrokenExecutor:
-                        if policy is None:
-                            raise
-                        ready.appendleft((i, job, att))
-                        return True
-                    in_flight[fut] = (i, job, att, time.monotonic())
-                return False
-
-            def kill_pool(reason: str, n_requeued: int) -> None:
-                # ProcessPoolExecutor cannot kill a single worker, so a
-                # timeout (or crash cleanup) takes down the whole pool;
-                # innocent in-flight jobs are re-enqueued at no cost to
-                # their retry budgets.
-                for proc in list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                ):
-                    try:
-                        proc.terminate()
-                    except Exception:  # pragma: no cover - racing exit
-                        pass
-                pool.shutdown(wait=False, cancel_futures=True)
-                counters["pool_restarts"] += 1
-                if tele is not None:
-                    tele.emit(
-                        "pool.restart", reason=reason,
-                        restarts=counters["pool_restarts"],
-                        n_requeued=n_requeued,
-                    )
-
-            def requeue(index: int, job: Job, attempt: int, delay: float) -> None:
-                if delay <= 0:
-                    ready.append((index, job, attempt))
-                else:
-                    heapq.heappush(
-                        delayed, (time.monotonic() + delay, index, job, attempt)
-                    )
-
-            def drain_in_flight() -> list[tuple[int, Job, int, float]]:
-                victims = list(in_flight.values())
-                in_flight.clear()
-                return victims
-
-            timeout_s = policy.timeout_s if policy is not None else None
-            # Crash respawns draw on policy.max_pool_restarts; timeout
-            # kills are policy-initiated and already bounded by the
-            # per-job retry budgets, so they do not consume it.
-            crash_restarts = 0
+            if pool is None:
+                pool = make_pool()
             try:
-                while (ready or delayed or in_flight) and not aborted:
-                    now = time.monotonic()
-                    while delayed and delayed[0][0] <= now:
-                        _, i, job, att = heapq.heappop(delayed)
-                        ready.append((i, job, att))
-                    pool_broken = fill()
-                    if not pool_broken:
-                        if not in_flight:
-                            if delayed:
-                                # Everything is backing off; sleep until
-                                # the earliest release.
-                                time.sleep(
-                                    max(delayed[0][0] - time.monotonic(), 0.0)
-                                )
-                            continue
-                        # Wake up for the heartbeat, the earliest job
-                        # deadline, or the earliest backoff release —
-                        # whichever comes first.
-                        wait_t: Optional[float] = (
-                            heartbeat_interval if heartbeat is not None else None
+                fut = pool.submit(
+                    _run_task,
+                    (i, att, job.experiment, job.config, job.seed,
+                     job.digest, staging_for(i), telemetry, pooled),
+                )
+            except BrokenExecutor as exc:
+                ready.appendleft((i, job, att))
+                return exc
+            in_flight[fut] = (i, job, att, time.monotonic())
+        return None
+
+    def restart(reason: str) -> list[tuple[int, Job, int, float]]:
+        """Kill the pool after a crash or a timeout and hand back the
+        jobs it had in flight; the next submission starts a new pool."""
+        nonlocal pool
+        victims = list(in_flight.values())
+        in_flight.clear()
+        _terminate(pool)
+        pool = None
+        counters["pool_restarts"] += 1
+        emit(
+            "pool.restart", reason=reason,
+            restarts=counters["pool_restarts"], n_requeued=len(victims),
+        )
+        return victims
+
+    try:
+        while (ready or delayed or in_flight) and not aborted:
+            now = time.monotonic()
+            while delayed and delayed[0][0] <= now:
+                _, i, job, att = heapq.heappop(delayed)
+                ready.append((i, job, att))
+            broken = fill()
+            if broken is None and not in_flight:
+                if delayed:
+                    # Everything is backing off; sleep until the
+                    # earliest release.
+                    time.sleep(max(delayed[0][0] - time.monotonic(), 0.0))
+                continue
+            if broken is None:
+                # Wake up for the heartbeat, the earliest job deadline,
+                # or the earliest backoff release — whichever comes
+                # first.
+                waits = [HEARTBEAT_INTERVAL_S] if heartbeat is not None else []
+                if timeout_s is not None:
+                    first = min(t0 for (_, _, _, t0) in in_flight.values())
+                    waits.append(
+                        max(first + timeout_s - time.monotonic(), 0.0) + 0.01
+                    )
+                if delayed:
+                    waits.append(
+                        max(delayed[0][0] - time.monotonic(), 0.0) + 0.01
+                    )
+                finished, _ = wait(
+                    set(in_flight),
+                    timeout=min(waits, default=None),
+                    return_when=FIRST_COMPLETED,
+                )
+                tick()
+                landed: list[tuple[int, Job, dict, float, int]] = []
+                for fut in finished:
+                    index, job, att, _t0 = in_flight.pop(fut)
+                    try:
+                        payload, checksum, wall = fut.result()
+                        if digests.payload_checksum(payload) != checksum:
+                            raise ResultIntegrityError(
+                                f"payload of {job.label} failed its "
+                                f"integrity checksum between worker and parent"
+                            )
+                    except BrokenExecutor as exc:
+                        # The worker died mid-job: the pool is toast and
+                        # every sibling future breaks with it.  The
+                        # broken job is charged a failure; siblings
+                        # still in flight ride back for free.
+                        broken = exc
+                        crash = WorkerCrashError(
+                            f"pool worker died while running {job.label}: "
+                            f"{exc}"
                         )
-                        if timeout_s is not None:
-                            next_deadline = min(
-                                t0 + timeout_s for (_, _, _, t0) in in_flight.values()
-                            )
-                            dt = max(next_deadline - time.monotonic(), 0.0) + 0.01
-                            wait_t = dt if wait_t is None else min(wait_t, dt)
-                        if delayed:
-                            dt = max(delayed[0][0] - time.monotonic(), 0.0) + 0.01
-                            wait_t = dt if wait_t is None else min(wait_t, dt)
-                        finished, _ = wait(
-                            set(in_flight),
-                            timeout=wait_t,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        tick()
-                        landed: list[tuple[int, Job, dict, float, int]] = []
-                        first_break: Optional[BaseException] = None
-                        for fut in finished:
-                            index, job, att, _t0 = in_flight.pop(fut)
-                            try:
-                                _, _, payload, checksum, wall = fut.result()
-                                verify_payload(job, payload, checksum)
-                            except BrokenExecutor as exc:
-                                # The worker died mid-job: the pool is
-                                # toast and every sibling future breaks
-                                # with it.  The broken job is charged a
-                                # failure; siblings ride back for free.
-                                pool_broken = True
-                                first_break = exc
-                                crash = WorkerCrashError(
-                                    f"pool worker died while running "
-                                    f"{job.label}: {exc}"
-                                )
-                                if policy is not None:
-                                    verdict, delay = fail_decision(
-                                        index, job, crash
-                                    )
-                                    if verdict == "quarantine":
-                                        quarantine(index, job, att + 1, crash)
-                                    else:
-                                        requeue(index, job, att + 1, delay)
-                            except Exception as exc:
-                                if policy is None:
-                                    raise
-                                verdict, delay = fail_decision(index, job, exc)
-                                if verdict == "quarantine":
-                                    quarantine(index, job, att + 1, exc)
-                                else:
-                                    requeue(index, job, att + 1, delay)
-                            else:
-                                landed.append((index, job, payload, wall, att))
-                        if pool_broken and policy is None:
-                            raise first_break  # pragma: no cover - defensive
-                        # Refill the freed worker slots before the cache
-                        # writes (fsync) and manifest appends below.
-                        if not (pool_broken or aborted):
-                            pool_broken = fill()
-                        for index, job, payload, wall, att in landed:
-                            finish_run(
-                                index, job, payload, wall, attempts=att + 1
-                            )
-                    if pool_broken:
-                        victims = drain_in_flight()
-                        kill_pool("crash", len(victims))
-                        crash_restarts += 1
-                        if crash_restarts > policy.max_pool_restarts:
-                            # Restart budget exhausted: quarantine the
-                            # stranded jobs and stop rather than thrash.
-                            crash = WorkerCrashError(
-                                "worker pool kept crashing; restart budget "
-                                f"({policy.max_pool_restarts}) exhausted"
-                            )
-                            for i, job, att, _t0 in victims:
-                                quarantine(i, job, att + 1, crash)
-                            for i, job, att in list(ready) + [
-                                (i, j, a) for (_, i, j, a) in delayed
-                            ]:
-                                quarantine(i, job, att + 1, crash)
-                            ready.clear()
-                            delayed.clear()
-                            aborted = True
-                        else:
-                            for i, job, att, _t0 in victims:
-                                requeue(i, job, att + 1, 0.0)
-                            pool = make_pool()
-                        continue
-                    # -- per-job wall-clock deadlines ------------------
-                    if timeout_s is not None and in_flight:
-                        now = time.monotonic()
-                        expired = [
-                            (fut, v)
-                            for fut, v in in_flight.items()
-                            if now - v[3] >= timeout_s and not fut.done()
-                        ]
-                        if expired:
-                            expired_futs = {fut for fut, _ in expired}
-                            survivors = [
-                                v for fut, v in in_flight.items()
-                                if fut not in expired_futs
-                            ]
-                            in_flight.clear()
-                            kill_pool(
-                                "timeout", len(expired) + len(survivors)
-                            )
-                            for _fut, (index, job, att, t0) in expired:
-                                counters["timeouts"] += 1
-                                exc = JobTimeoutError(
-                                    job.label, timeout_s, now - t0
-                                )
-                                if tele is not None:
-                                    tele.emit(
-                                        "job.timeout", job=index, attempt=att,
-                                        elapsed_s=now - t0,
-                                        timeout_s=timeout_s,
-                                    )
-                                verdict, delay = fail_decision(index, job, exc)
-                                if verdict == "quarantine":
-                                    quarantine(
-                                        index, job, att + 1, exc,
-                                        timed_out=True,
-                                    )
-                                else:
-                                    requeue(index, job, att + 1, delay)
-                            for index, job, att, _t0 in survivors:
-                                requeue(index, job, att + 1, 0.0)
-                            if not aborted and (ready or delayed):
-                                pool = make_pool()
-            finally:
-                if in_flight or aborted:
-                    # Hung or cancelled workers must not outlive the
-                    # sweep: tear the pool down hard.  (_processes is
-                    # None once the pool has been shut down.)
-                    for proc in list(
-                        (getattr(pool, "_processes", None) or {}).values()
-                    ):
-                        try:
-                            proc.terminate()
-                        except Exception:  # pragma: no cover
-                            pass
-                    pool.shutdown(wait=False, cancel_futures=True)
+                        crash.__cause__ = exc
+                        fail(index, job, att, crash)
+                    except Exception as exc:
+                        fail(index, job, att, exc)
+                    else:
+                        landed.append((index, job, payload, wall, att))
+                # Refill the freed worker slots before the cache writes
+                # (fsync) and manifest appends below.  Inline, a refill
+                # would run the next job before these results are
+                # written, so only a pool refills early.
+                if pooled and broken is None and not aborted:
+                    broken = fill()
+                for index, job, payload, wall, att in landed:
+                    finish_run(index, job, payload, wall, attempts=att + 1)
+            if broken is not None:
+                crash_restarts += 1
+                victims = restart("crash")
+                if crash_restarts <= max_restarts:
+                    for index, job, att, _t0 in victims:
+                        requeue(index, job, att + 1, 0.0)
                 else:
-                    pool.shutdown(wait=True)
+                    # Restart budget exhausted: quarantine the stranded
+                    # jobs and stop rather than thrash.
+                    aborted = True
+                    crash = WorkerCrashError(
+                        "worker pool kept crashing; restart budget "
+                        f"({max_restarts}) exhausted"
+                    )
+                    crash.__cause__ = broken
+                    stranded = victims + list(ready) + [d[1:] for d in delayed]
+                    for index, job, att, *_ in stranded:
+                        fail(index, job, att, crash)
+            # -- per-job wall-clock deadlines --------------------------
+            elif timeout_s is not None and in_flight:
+                now = time.monotonic()
+                expired = {
+                    index for fut, (index, _, _, t0) in in_flight.items()
+                    if now - t0 >= timeout_s and not fut.done()
+                }
+                if expired:
+                    # Innocent in-flight jobs are re-enqueued at no cost
+                    # to their retry budgets.
+                    for index, job, att, t0 in restart("timeout"):
+                        if index not in expired:
+                            requeue(index, job, att + 1, 0.0)
+                            continue
+                        counters["timeouts"] += 1
+                        emit(
+                            "job.timeout", job=index, attempt=att,
+                            elapsed_s=now - t0, timeout_s=timeout_s,
+                        )
+                        fail(
+                            index, job, att,
+                            JobTimeoutError(job.label, timeout_s, now - t0),
+                        )
     finally:
+        if pool is not None:
+            if in_flight or aborted:
+                # Hung or cancelled workers must not outlive the sweep.
+                _terminate(pool)
+            else:
+                pool.shutdown(wait=True)
         if staging_root is not None:
             shutil.rmtree(staging_root, ignore_errors=True)
 
@@ -977,10 +895,10 @@ def run_sweep(
         n_pool_restarts=counters["pool_restarts"],
         aborted=aborted,
     )
-    if tele is not None:
+    if telemetry is not None:
         from repro.obs.telemetry import read_events, summarize, write_summary
 
-        tele.emit(
+        emit(
             "sweep.end",
             n_done=done,
             n_quarantined=len(quarantined),

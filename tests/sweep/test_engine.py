@@ -216,6 +216,25 @@ def test_telemetry_heartbeat_fires(tmp_path):
     assert beats  # called at least once per completion batch
 
 
+def test_inline_sweep_writes_each_result_before_the_next_job_starts(tmp_path):
+    # Refilling before writing is for pools only: inline, a refill
+    # would run the next job before this one's result is written.
+    from repro.obs.telemetry import read_events
+
+    channel = tmp_path / "telemetry.jsonl"
+    starts_seen = []
+
+    def progress(done, total, result):
+        kinds = [e["kind"] for e in read_events(channel)]
+        starts_seen.append(kinds.count("job.start"))
+
+    run_sweep(
+        SPEC, jobs=1, cache=ResultCache(tmp_path / "cache"),
+        telemetry=channel, progress=progress,
+    )
+    assert starts_seen == [1, 2, 3, 4]
+
+
 def test_heartbeat_and_end_totals_on_fully_cached_sweep(tmp_path):
     # A sweep where every job is cache-served never enters the execute
     # loop; the final tick and the sweep.end totals must fire anyway so

@@ -1,5 +1,7 @@
 """Failure policy, deterministic chaos, retries, quarantine, recovery."""
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -316,3 +318,41 @@ def test_pool_crash_budget_exhaustion_aborts(monkeypatch):
     report = run_sweep(SPEC, jobs=2, policy=policy)
     assert report.aborted and not report.results
     assert report.failures  # in-flight victims quarantined on abort
+
+
+def test_pool_timeout_applies_to_a_single_miss(monkeypatch, tmp_path):
+    # One cache miss on jobs=2 still runs in a worker, so its deadline
+    # has a process to kill; it never runs in the sweep process.
+    from repro.obs.telemetry import read_events
+
+    monkeypatch.setenv("REPRO_CHAOS", "hang:1")
+    monkeypatch.setenv("REPRO_CHAOS_HANG_S", "10")
+    spec = SweepSpec(
+        experiments=SPEC.experiments, seeds=[0], overrides=SPEC.overrides
+    )
+    channel = tmp_path / "telemetry.jsonl"
+    policy = FailurePolicy(timeout_s=1, max_retries=0)
+    report = run_sweep(spec, jobs=2, policy=policy, telemetry=channel)
+    assert not report.results and len(report.failures) == 1
+    assert report.failures[0].error_class == "JobTimeoutError"
+    assert report.failures[0].timed_out
+    assert report.n_timeouts == 1
+    starts = [
+        e["worker"] for e in read_events(channel) if e["kind"] == "job.start"
+    ]
+    assert starts and os.getpid() not in starts
+
+
+def test_pooled_fail_fast_stops_and_leaves_no_worker():
+    from tests.sweep.test_engine import _assert_no_live_workers
+
+    spec = SweepSpec(
+        experiments=["collective_scale"], seeds=[0, 1, 2, 3],
+        overrides={"collective_scale": {"ranks": 0}},
+    )
+    policy = FailurePolicy(max_retries=0, fail_fast=True)
+    report = run_sweep(spec, jobs=2, policy=policy)
+    assert report.aborted and not report.results
+    assert 1 <= len(report.failures) <= 2
+    assert all(f.error_class == "ConfigurationError" for f in report.failures)
+    _assert_no_live_workers()
