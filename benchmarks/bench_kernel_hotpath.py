@@ -16,7 +16,8 @@ performance trajectory artifact, ``BENCH_kernel.json``:
 Each benchmark also records *simulated* invariants (final simulated
 time, failure/checkpoint counts).  Those must be bit-identical across
 optimization work — a speedup that changes simulated results is a bug,
-and the JSON makes the comparison explicit.
+and the JSON makes the comparison explicit.  The script exits 1 when
+they differ from the baseline's.
 
 Usage::
 
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     if "invariants_match" in out:
         print(f"simulated invariants match baseline: {out['invariants_match']}")
     print(f"wrote {args.out}")
-    return 0
+    return 0 if out.get("invariants_match", True) else 1
 
 
 if __name__ == "__main__":

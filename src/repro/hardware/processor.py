@@ -125,23 +125,29 @@ class Processor:
             yield from processor.execute(flops=1e9, n_cores=4)
 
         ``n_cores=0`` claims the whole chip.  Cores are claimed under
-        an allocation lock (no hold-and-wait deadlock), the kernel then
-        runs for its roofline duration, and the cores are released.
+        an allocation lock (no hold-and-wait deadlock) by one
+        ``n_cores``-slot request, the kernel then runs for its roofline
+        duration, and the cores are released.  A process killed while
+        it waits gives back the lock and every core it already holds.
         """
         if n_cores == 0:
             n_cores = self.spec.n_cores
         n_cores = min(n_cores, self.spec.n_cores)
         if n_cores < 1:
             raise ConfigurationError(f"invalid n_cores {n_cores}")
-        lock = self._alloc_lock.request()
-        yield lock
-        requests = [self.cores.request() for _ in range(n_cores)]
+        alloc, cores = self._alloc_lock, self.cores
+        lock = alloc.request()
+        claim = None
         try:
             try:
-                for req in requests:
-                    yield req
+                yield lock
+                claim = cores.request(slots=n_cores)
+                yield claim
             finally:
-                self._alloc_lock.release(lock)
+                if lock.triggered:
+                    alloc.release(lock)
+                else:
+                    alloc.cancel(lock)
             start = self.sim.now
             yield self.sim.timeout(self.kernel_time(flops, traffic_bytes, n_cores))
             tr = self.sim.trace
@@ -151,11 +157,11 @@ class Processor:
                     flops=flops, cores=n_cores,
                 )
         finally:
-            for req in requests:
-                if req.triggered:
-                    self.cores.release(req)
+            if claim is not None:
+                if claim.triggered:
+                    cores.release(claim)
                 else:
-                    self.cores.cancel(req)
+                    cores.cancel(claim)
 
     def utilization(self, since: float = 0.0) -> float:
         """Mean fraction of cores busy since *since*."""

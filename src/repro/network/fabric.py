@@ -70,7 +70,7 @@ class NetworkInterface:
         self.bytes_sent += msg.size_bytes
         dst_iface = self.fabric.interface(msg.dst)
         dst_iface.bytes_received += msg.size_bytes
-        dst_iface.inbox.put(msg)
+        dst_iface.inbox.deliver(msg)
         return record
 
 
@@ -147,12 +147,15 @@ class Fabric:
         self._m_bytes = m.counter("net.bytes")
         self._m_link_busy = m.counter("link.busy_s")
         self._h_transfer = m.histogram("net.transfer_s")
-        # (src, dst) -> (links, canonical order, latency, bottleneck bw).
-        # Static routes never change (failures are handled by checking
-        # the links' up flags per transfer), so this is computed once.
+        # (src, dst) -> (links, canonical order, latency, bottleneck bw,
+        # error-free).  Static routes never change, so this is computed
+        # once; failures are handled by the down-link count below.
         self._route_cache: dict[
-            tuple[str, str], tuple[list[Link], list[Link], float, float]
+            tuple[str, str], tuple[list[Link], list[Link], float, float, bool]
         ] = {}
+        #: Links currently down.  Only fail_link and restore_link write
+        #: ``Link.up``, so while this is zero no transfer checks a flag.
+        self._down_links = 0
 
     # -- attachment ------------------------------------------------------
     def attach(self, node: "Node") -> NetworkInterface:
@@ -240,33 +243,43 @@ class Fabric:
     # -- link failures (RAS) ---------------------------------------------
     def fail_link(self, u: str, v: str, both_directions: bool = True) -> None:
         """Take the cable *u--v* out of service."""
-        try:
-            self.links[(u, v)].up = False
-            if both_directions:
-                self.links[(v, u)].up = False
-        except KeyError:
-            raise RoutingError(f"no link {u!r} -> {v!r} on fabric {self.name!r}") from None
+        self._set_up(u, v, both_directions, False)
 
     def restore_link(self, u: str, v: str, both_directions: bool = True) -> None:
         """Return the cable *u--v* to service."""
+        self._set_up(u, v, both_directions, True)
+
+    def _set_up(self, u: str, v: str, both_directions: bool, up: bool) -> None:
+        pairs = [(u, v), (v, u)] if both_directions else [(u, v)]
         try:
-            self.links[(u, v)].up = True
-            if both_directions:
-                self.links[(v, u)].up = True
+            links = [self.links[pair] for pair in pairs]
         except KeyError:
             raise RoutingError(f"no link {u!r} -> {v!r} on fabric {self.name!r}") from None
+        for link in links:
+            if link.up != up:  # failing a down link twice counts once
+                link.up = up
+                self._down_links += -1 if up else 1
+
+    @staticmethod
+    def _route_of(
+        links: list[Link],
+    ) -> tuple[list[Link], list[Link], float, float, bool]:
+        """(links, canonical order, latency, bottleneck bw, error-free)."""
+        return (
+            links,
+            sorted(links, key=lambda l: l.name),
+            sum(l.spec.latency_s for l in links),
+            min(l.spec.bandwidth_bytes_per_s for l in links),
+            all(l.spec.per_byte_error_rate <= 0.0 for l in links),
+        )
 
     def _route_info(
         self, src: str, dst: str
-    ) -> tuple[list[Link], list[Link], float, float]:
-        """Memoized (links, canonical order, latency, bottleneck bw)."""
+    ) -> tuple[list[Link], list[Link], float, float, bool]:
+        """Memoized :meth:`_route_of` of the static route."""
         info = self._route_cache.get((src, dst))
         if info is None:
-            links = self.path_links(src, dst)
-            ordered = sorted(links, key=lambda l: l.name)
-            latency = sum(l.spec.latency_s for l in links)
-            bottleneck = min(l.spec.bandwidth_bytes_per_s for l in links)
-            info = (links, ordered, latency, bottleneck)
+            info = self._route_of(self.path_links(src, dst))
             self._route_cache[(src, dst)] = info
         return info
 
@@ -274,7 +287,7 @@ class Fabric:
         """Uncontended end-to-end time excluding host overheads."""
         if src == dst:
             return self.loopback_latency_s
-        _, _, latency, bottleneck = self._route_info(src, dst)
+        _, _, latency, bottleneck, _ = self._route_info(src, dst)
         return latency + size_bytes / bottleneck
 
     # -- transfer ----------------------------------------------------------
@@ -293,17 +306,16 @@ class Fabric:
             return self._record(src, dst, size_bytes, start, hops=0, kind=kind)
 
         if not self.contention:
-            links, _, latency, bottleneck = self._route_info(src, dst)
+            links, _, latency, bottleneck, _ = self._route_info(src, dst)
             yield self.sim.timeout(latency + size_bytes / bottleneck)
             return self._record(src, dst, size_bytes, start, len(links), kind)
 
-        links, ordered, latency, bottleneck = self._route_info(src, dst)
-        if self.adaptive or not all(l.up for l in links):
+        links, ordered, latency, bottleneck, error_free = self._route_info(src, dst)
+        if self.adaptive or (self._down_links and not all(l.up for l in links)):
             # Dynamic choice: the cached static route does not apply.
-            links = self._pick_links(src, dst)
-            ordered = sorted(links, key=lambda l: l.name)
-            latency = sum(l.spec.latency_s for l in links)
-            bottleneck = min(l.spec.bandwidth_bytes_per_s for l in links)
+            links, ordered, latency, bottleneck, error_free = self._route_of(
+                self._pick_links(src, dst)
+            )
         serialization = size_bytes / bottleneck
 
         # Reserve the chosen path so concurrent adaptive picks see it.
@@ -334,9 +346,11 @@ class Fabric:
                     yield req
                 duration = serialization
                 for link in links:
-                    duration += link._retransmission_penalty(size_bytes)
                     link.bytes_carried += size_bytes
                     link.transfers += 1
+                if not error_free:
+                    for link in links:
+                        duration += link._retransmission_penalty(size_bytes)
                 # Every link on the path is held for the whole duration.
                 self._m_link_busy.add(duration * len(links))
                 yield self.sim.timeout(duration)

@@ -97,10 +97,10 @@ class Link:
         not occupy the link.
         """
         req = self.channel.try_acquire()
-        if req is None:
-            req = self.channel.request()
-            yield req
         try:
+            if req is None:
+                req = self.channel.request()
+                yield req
             duration = self.spec.serialization_time(size_bytes)
             duration += self._retransmission_penalty(size_bytes)
             self._m_busy.add(duration)
@@ -108,7 +108,10 @@ class Link:
             self.bytes_carried += size_bytes
             self.transfers += 1
         finally:
-            self.channel.release(req)
+            if req.triggered:
+                self.channel.release(req)
+            else:
+                self.channel.cancel(req)
 
     def _retransmission_penalty(self, size_bytes: int) -> float:
         spec = self.spec

@@ -39,7 +39,7 @@ def dimension_order_route(
     except KeyError as exc:
         raise RoutingError(f"unknown torus endpoint in ({src!r}, {dst!r})") from exc
 
-    by_coord = {d["coord"]: n for n, d in g.nodes(data=True)}
+    by_coord = topo.coord_index
     order = list(axis_order) if axis_order is not None else list(range(len(dims)))
     if sorted(order) != list(range(len(dims))):
         raise RoutingError(f"axis_order {order!r} is not a permutation")

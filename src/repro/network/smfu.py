@@ -381,7 +381,7 @@ class ClusterBoosterBridge:
         src_iface.bytes_sent += msg.size_bytes
         dst_iface = dst_fabric.interface(msg.dst)
         dst_iface.bytes_received += msg.size_bytes
-        dst_iface.inbox.put(msg)
+        dst_iface.inbox.deliver(msg)
         return record
 
     def ideal_transfer_time(self, src: str, dst: str, size_bytes: int) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import networkx as nx
@@ -47,6 +48,16 @@ class Topology:
     def switches(self) -> list[str]:
         """Switch vertex names, in insertion order."""
         return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"]
+
+    @cached_property
+    def coord_index(self) -> dict[tuple[int, ...], str]:
+        """The vertex at each torus coordinate (tori only).
+
+        Built on first use and kept: dimension-order routing looks up
+        every hop here, and a topology's graph does not change once a
+        fabric routes over it.
+        """
+        return {d["coord"]: n for n, d in self.graph.nodes(data=True)}
 
     def degree(self, node: str) -> int:
         return self.graph.degree[node]

@@ -51,7 +51,10 @@ class Event:
         #: Optional cleanup hook invoked when the (sole) waiter of this
         #: event is killed: resource-like owners (Channel getters) use
         #: it to withdraw the registration so the event cannot consume
-        #: an item on behalf of a dead process.
+        #: an item on behalf of a dead process.  The hook usually closes
+        #: over the event itself, so owners clear it when they serve the
+        #: event: a served event then holds no reference cycle and is
+        #: freed, with its value, by reference counting.
         self._abandon: Optional[Callable[[], None]] = None
 
     # -- state ---------------------------------------------------------

@@ -14,9 +14,9 @@
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import deque
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -25,27 +25,35 @@ from repro.simkernel.event import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.simulator import Simulator
 
-_time_of = itemgetter(0)
-
 
 class PreemptionError(SimulationError):
     """Raised inside a process whose resource slot was preempted."""
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot.
+    """A pending claim on one or more :class:`Resource` slots.
 
-    Fires (with itself as value) when the slot is granted.  Pass it to
-    :meth:`Resource.release` when done.
+    Fires (with itself as value) once the claim holds all its slots.  A
+    claim of *slots* > 1 takes slots one at a time in FIFO order, exactly
+    as that many single claims queued back to back would: it holds the
+    slots it got while it waits for the rest, but fires only once.  Pass
+    it to :meth:`Resource.release` when done, or to
+    :meth:`Resource.cancel` to give up while it is still queued.
     """
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource", "priority", "_order", "slots", "_need")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(
+        self, resource: "Resource", priority: float = 0.0, slots: int = 1
+    ) -> None:
         super().__init__(resource.sim, name=resource.name)
         self.resource = resource
         self.priority = priority
         self._order = 0
+        #: Slots this claim takes in all.
+        self.slots = slots
+        #: Slots still to be granted (nonzero only while queued).
+        self._need = 0
 
     def __lt__(self, other: "Request") -> bool:
         return (self.priority, self._order) < (other.priority, other._order)
@@ -54,20 +62,20 @@ class Request(Event):
 class _Slot:
     """A slot handed out by :meth:`Resource.try_acquire`.
 
-    Behaves enough like a granted :class:`Request` for the common
-    acquire/release dance: it is always ``triggered`` (the grant was
-    immediate) and :meth:`Resource.release` accepts it.
+    Behaves enough like a granted one-slot :class:`Request` for the
+    common acquire/release dance: it is always ``triggered`` (the grant
+    was immediate) and :meth:`Resource.release` accepts it.
     """
 
-    __slots__ = ("resource",)
+    # ``_value`` only gives release() a slot to clear, as it does on a
+    # Request: a fast-path slot never carries a value.
+    __slots__ = ("_value",)
 
     #: A fast-path grant is immediate by definition, so a uniform
     #: ``if handle.triggered: release() else cancel()`` cleanup works
     #: for Requests and slots alike.
     triggered = True
-
-    def __init__(self, resource: "Resource") -> None:
-        self.resource = resource
+    slots = 1
 
 
 class Resource:
@@ -75,7 +83,7 @@ class Resource:
 
     __slots__ = (
         "sim", "capacity", "name", "users", "queue",
-        "_busy_integral", "_last_change", "_created_at", "_history",
+        "_busy_integral", "_last_change", "_bp_time", "_bp_integral", "_bp_busy",
         "grants", "waits",
     )
 
@@ -85,19 +93,27 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.users: list[Request] = []
+        #: Holders, one entry per slot held (a wide claim appears once
+        #: for each of its slots).
+        self.users: list = []
         self.queue: deque[Request] = deque()
         # Utilisation accounting: integral of busy slots over time, plus
         # breakpoints of the piecewise-constant busy count so windowed
-        # queries (``utilization(since=...)``) are exact.
+        # queries (``utilization(since=...)``) are exact.  From
+        # ``_bp_time[i]`` on the integral was ``_bp_integral[i]`` and grew
+        # by ``_bp_busy[i]`` per second.  Parallel arrays of C doubles and
+        # ints hold no Python object per breakpoint, so a long history
+        # costs 24 bytes a breakpoint and nothing for the collector to
+        # track or traverse.
         now = sim.now
         self._busy_integral = 0.0
         self._last_change = now
-        self._created_at = now
-        self._history: list[tuple[float, float, int]] = [(now, 0.0, 0)]
-        #: Claims granted (immediately or after queueing).
+        self._bp_time = array("d", (now,))
+        self._bp_integral = array("d", (0.0,))
+        self._bp_busy = array("q", (0,))
+        #: Slots granted (immediately or after queueing).
         self.grants = 0
-        #: Claims that found all slots busy and had to queue.
+        #: Slots that found the resource busy and had to queue.
         self.waits = 0
         if sim.profile:
             sim._profiled_resources.append(self)
@@ -111,20 +127,22 @@ class Resource:
 
     def _mark(self) -> None:
         """Record a busy-count breakpoint (call after users changed)."""
-        history = self._history
-        entry = (self._last_change, self._busy_integral, len(self.users))
-        if history[-1][0] == entry[0]:
-            history[-1] = entry
+        times = self._bp_time
+        if times[-1] == self._last_change:
+            self._bp_integral[-1] = self._busy_integral
+            self._bp_busy[-1] = len(self.users)
         else:
-            history.append(entry)
+            times.append(self._last_change)
+            self._bp_integral.append(self._busy_integral)
+            self._bp_busy.append(len(self.users))
 
     def _integral_at(self, t: float) -> float:
         """Busy-slot integral accumulated up to time *t* (t <= now)."""
-        history = self._history
-        if t <= history[0][0]:
+        times = self._bp_time
+        if t <= times[0]:
             return 0.0
-        t0, integral, count = history[bisect_right(history, t, key=_time_of) - 1]
-        return integral + count * (t - t0)
+        i = bisect_right(times, t) - 1
+        return self._bp_integral[i] + self._bp_busy[i] * (t - times[i])
 
     def utilization(self, since: float = 0.0) -> float:
         """Mean fraction of slots busy over [since, now]."""
@@ -153,34 +171,51 @@ class Resource:
         users = self.users
         if len(users) < self.capacity:
             self._account()
-            slot = _Slot(self)
+            slot = _Slot()
             users.append(slot)
             self.grants += 1
             self._mark()
             return slot
         return None
 
-    def request(self, priority: float = 0.0) -> Request:
-        """Claim a slot; yield the returned request to wait for it."""
-        req = Request(self, priority)
+    def request(self, priority: float = 0.0, slots: int = 1) -> Request:
+        """Claim *slots* slots; yield the returned request to wait for them.
+
+        The claim takes the free slots now and queues for the rest (a
+        slot is free only while nobody waits, so it queues at the head).
+        """
+        if slots != 1 and not 1 <= slots <= self.capacity:
+            raise SimulationError(
+                f"cannot claim {slots} of {self.capacity} slots of "
+                f"{self.name or 'resource'}"
+            )
+        req = Request(self, priority, slots)
         self._account()
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            self.grants += 1
+        users = self.users
+        free = self.capacity - len(users)
+        if free >= slots:
+            if slots == 1:
+                users.append(req)
+            else:
+                users.extend([req] * slots)
+            self.grants += slots
             req.succeed(req)
         else:
-            self.waits += 1
+            if free:
+                users.extend([req] * free)
+                self.grants += free
+            req._need = need = slots - free
+            self.waits += need
             self._enqueue(req)
             # Contended path only: queue-depth change points feed the
             # counter timelines (repro.obs.timeline).
-            tr = self.sim.trace
-            if tr.enabled and self.name:
-                tr.record_counter("queue:" + self.name, self._qlen())
+            if self.sim.trace.enabled:
+                self._trace_queue(need)
         self._mark()
         return req
 
     def release(self, request: Request) -> None:
-        """Return a granted slot; wakes the next waiter if any."""
+        """Return a granted claim's slots; each one wakes the next waiter."""
         self._account()
         try:
             self.users.remove(request)
@@ -188,67 +223,102 @@ class Resource:
             raise SimulationError(
                 f"release() of a request that does not hold {self.name or 'resource'}"
             ) from None
-        nxt = self._dequeue()
-        if nxt is not None:
-            self.users.append(nxt)
-            self.grants += 1
-            nxt.succeed(nxt)
-            tr = self.sim.trace
-            if tr.enabled and self.name:
-                tr.record_counter("queue:" + self.name, self._qlen())
+        if request.slots == 1:
+            if self.queue:
+                self._grant_head()
+        elif request._need:
+            self.users.append(request)  # put the slot back
+            raise SimulationError(
+                f"release() of a claim still queued for {self.name or 'resource'}; "
+                "cancel() it"
+            )
+        else:
+            if self.queue:
+                self._grant_head()
+            self._free(request, request.slots - 1)
+        # A granted Request carries itself as its value; dropping that
+        # cycle lets reference counting free the claim.
+        request._value = None
         self._mark()
 
     def cancel(self, request: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
+        """Withdraw a queued claim, returning any slots it already holds."""
         try:
-            self.queue.remove(request)
+            self._withdraw(request)
         except ValueError:
             raise SimulationError("cancel() of a request not in queue") from None
-        tr = self.sim.trace
-        if tr.enabled and self.name:
-            tr.record_counter("queue:" + self.name, self._qlen())
+        if self.sim.trace.enabled:
+            self._trace_queue(-request._need)
+        held = request.slots - request._need
+        if held:
+            self._account()
+            self._free(request, held)
+            self._mark()
+
+    def _free(self, claim: Request, n: int) -> None:
+        """Take back *n* slots of *claim*, waking the next waiter for each."""
+        users = self.users
+        for _ in range(n):
+            users.remove(claim)
+            if self.queue:
+                self._grant_head()
+
+    def _grant_head(self) -> None:
+        """Give a slot to the oldest waiter; it fires on its last slot."""
+        head = self.queue[0]
+        self.users.append(head)
+        self.grants += 1
+        head._need -= 1
+        if not head._need:
+            self._dequeue()
+            head.succeed(head)
+        if self.sim.trace.enabled:
+            self._trace_queue(-1)
+
+    def _trace_queue(self, change: int) -> None:
+        """Record queue-depth change points (tracing only): one per slot
+        queued (*change* > 0) or withdrawn (< 0), the points the same
+        claims give as single-slot requests."""
+        if self.name:
+            depth = sum(r._need for r in self.queue)
+            step = 1 if change > 0 else -1
+            key = "queue:" + self.name
+            for d in range(depth - change + step, depth + step, step):
+                self.sim.trace.record_counter(key, d)
 
     # -- queue policy (overridden by PriorityResource) --------------------
     def _enqueue(self, req: Request) -> None:
         self.queue.append(req)
 
-    def _dequeue(self) -> Optional[Request]:
-        return self.queue.popleft() if self.queue else None
+    def _dequeue(self) -> None:
+        self.queue.popleft()
 
-    def _qlen(self) -> int:
-        return len(self.queue)
+    def _withdraw(self, req: Request) -> None:
+        self.queue.remove(req)
 
 
 class PriorityResource(Resource):
     """A resource whose waiters are served lowest-priority-value first."""
 
-    __slots__ = ("_heap", "_counter")
+    __slots__ = ("_counter",)
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         super().__init__(sim, capacity, name)
-        self._heap: list[Request] = []
+        #: Waiters as a heap ordered by (priority, arrival).
+        self.queue: list[Request] = []
         self._counter = 0
 
     def _enqueue(self, req: Request) -> None:
         self._counter += 1
         req._order = self._counter
-        heapq.heappush(self._heap, req)
+        heapq.heappush(self.queue, req)
 
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self._heap) if self._heap else None
+    def _dequeue(self) -> None:
+        heapq.heappop(self.queue)
 
-    def cancel(self, request: Request) -> None:
-        try:
-            self._heap.remove(request)
-            heapq.heapify(self._heap)
-        except ValueError:
-            raise SimulationError("cancel() of a request not in queue") from None
-        tr = self.sim.trace
-        if tr.enabled and self.name:
-            tr.record_counter("queue:" + self.name, self._qlen())
-
-    def _qlen(self) -> int:
-        return len(self._heap)
+    def _withdraw(self, req: Request) -> None:
+        self.queue.remove(req)
+        heapq.heapify(self.queue)
 
 
 class Store:
@@ -283,16 +353,34 @@ class Store:
     def put(self, item: Any) -> Event:
         """Insert *item*; the returned event fires when accepted."""
         ev = Event(self.sim, name=self._put_name)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
+        if self._match(item):
             ev.succeed()
         else:
             self._putters.append((ev, item))
         return ev
+
+    def deliver(self, item: Any) -> None:
+        """Insert *item* without a put event.
+
+        For producers that never wait on acceptance, such as a fabric
+        dropping a message into an inbox: an event that nothing yields
+        would only cost the kernel a heap entry.  The item must be
+        accepted at once, so a full bounded store raises.
+        """
+        if not self._match(item):
+            raise SimulationError(f"deliver() into full store {self.name!r}")
+
+    def _match(self, item: Any) -> bool:
+        """Hand *item* to the oldest getter or buffer it; False when full."""
+        if self._getters:
+            getter = self._getters.popleft()
+            getter._abandon = None
+            getter.succeed(item)
+        elif self.capacity is None or len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            return False
+        return True
 
     def get(self) -> Event:
         """Remove the oldest item; the returned event fires with it."""
@@ -362,46 +450,40 @@ class Channel(Store):
         #: also be assigned after construction (the MPI layer does).
         self.key_of = key_of
 
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim, name=self._put_name)
+    def _match(self, item: Any) -> bool:
         # Matched getters have priority over FIFO getters so that a
         # selective receive posted earlier is not starved.  Among the
         # matched getters the oldest-posted match wins (MPI posting
         # order): compare the keyed-bucket head against the wildcard
         # scan by sequence number.
-        keyed: Optional[tuple[int, Event]] = None
+        bucket = None
         if self._keyed_getters and self.key_of is not None:
-            bucket = self._keyed_getters.get(self.key_of(item))
-            if bucket:
-                keyed = bucket[0]
+            key = self.key_of(item)
+            bucket = self._keyed_getters.get(key)
+        getter = None
         if self._matched_getters:
-            cutoff = keyed[0] if keyed is not None else None
+            cutoff = bucket[0][0] if bucket else None
             for i, (seq, gev, pred) in enumerate(self._matched_getters):
                 if cutoff is not None and seq > cutoff:
                     break  # the keyed getter is older than any further wildcard
                 if pred(item):
                     del self._matched_getters[i]
-                    gev.succeed(item)
-                    ev.succeed()
-                    return ev
-        if keyed is not None:
-            key = self.key_of(item)
-            bucket = self._keyed_getters[key]
-            _, gev = bucket.popleft()
+                    getter = gev
+                    break
+        if getter is None and bucket:
+            getter = bucket.popleft()[1]
             if not bucket:
                 del self._keyed_getters[key]
-            gev.succeed(item)
-            ev.succeed()
-            return ev
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
+        if getter is None and self._getters:
+            getter = self._getters.popleft()
+        if getter is not None:
+            getter._abandon = None
+            getter.succeed(item)
         elif self.capacity is None or len(self.items) < self.capacity:
             self.items.append(item)
-            ev.succeed()
         else:
-            self._putters.append((ev, item))
-        return ev
+            return False
+        return True
 
     def get(self, match: Optional[Callable[[Any], bool]] = None) -> Event:
         if match is None:

@@ -60,6 +60,8 @@ def test_no_surviving_route_raises():
 def test_restore_link_returns_to_static_route():
     sim, fabric, by = make()
     src, dst = by[(0, 0)], by[(2, 0)]
+    # Failing a down link again changes nothing: one restore brings it back.
+    fabric.fail_link(by[(1, 0)], by[(2, 0)])
     fabric.fail_link(by[(1, 0)], by[(2, 0)])
     fabric.restore_link(by[(1, 0)], by[(2, 0)])
 
@@ -70,6 +72,24 @@ def test_restore_link_returns_to_static_route():
     rec = run_to_end(sim, p(sim))
     assert fabric.links[(by[(1, 0)], by[(2, 0)])].bytes_carried == 1 << 20
     assert rec.hops == 2
+
+
+def test_restoring_an_up_link_does_not_hide_a_later_failure():
+    sim, fabric, by = make()
+    src, dst = by[(0, 0)], by[(2, 2)]
+    fabric.fail_link(by[(3, 3)], by[(0, 3)])
+    fabric.restore_link(by[(3, 3)], by[(0, 3)])
+    fabric.restore_link(by[(3, 3)], by[(0, 3)])  # already up: no effect
+    # The static X-first route goes (0,0)->(1,0)->(2,0)->(2,1)->(2,2).
+    fabric.fail_link(by[(1, 0)], by[(2, 0)])
+
+    def p(sim):
+        rec = yield from fabric.transfer(src, dst, 1 << 20)
+        return rec
+
+    rec = run_to_end(sim, p(sim))
+    assert rec.hops == 4
+    assert fabric.links[(by[(1, 0)], by[(2, 0)])].bytes_carried == 0
 
 
 def test_adaptive_mode_also_avoids_failed_links():

@@ -53,6 +53,32 @@ def test_link_occupy_serializes(sim):
     assert link.transfers == 2
 
 
+def test_killed_queued_occupy_does_not_hold_the_link(sim):
+    """A sender killed while queued for the link must not leave its
+    request to be granted later to nobody."""
+    link = Link(sim, LinkSpec(latency_s=0.0, bandwidth_bytes_per_s=1e6), "l")
+    ends = []
+
+    def sender(sim, start, name):
+        yield sim.timeout(start)
+        yield from link.occupy(1_000_000)  # 1 s serialization
+        ends.append((name, sim.now))
+
+    sim.process(sender(sim, 0.0, "first"))
+    queued = sim.process(sender(sim, 0.1, "queued"))
+    sim.process(sender(sim, 0.5, "late"))
+
+    def killer(sim):
+        yield sim.timeout(0.2)
+        queued.kill()
+
+    sim.process(killer(sim))
+    sim.run()
+    assert ends == [("first", pytest.approx(1.0)), ("late", pytest.approx(2.0))]
+    assert link.channel.count == 0
+    assert link.transfers == 2
+
+
 def test_link_error_model_adds_penalty(sim):
     clean = LinkSpec(latency_s=0, bandwidth_bytes_per_s=1e9)
     lossy = LinkSpec(
@@ -134,6 +160,8 @@ def test_torus_with_names():
     names = [f"bn{i}" for i in range(8)]
     topo = torus_topology((2, 2, 2), names=names)
     assert set(topo.endpoints) == set(names)
+    assert topo.coord_index[(1, 0, 1)] == "bn5"
+    assert topo.coord_index is topo.coord_index  # built once
 
 
 def test_torus_validation():

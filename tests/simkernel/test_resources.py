@@ -421,3 +421,69 @@ def test_utilization_windowed_mid_busy(sim):
 def test_utilization_future_window_is_zero(sim):
     res = Resource(sim)
     assert res.utilization(since=5.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# multi-slot claims
+# ---------------------------------------------------------------------------
+
+
+def test_multi_slot_request_validated(sim):
+    res = Resource(sim, capacity=4)
+    for slots in (0, -1, 5):
+        with pytest.raises(SimulationError):
+            res.request(slots=slots)
+
+
+def test_multi_slot_claim_holds_part_while_queued(sim):
+    res = Resource(sim, capacity=4)
+    hold = res.request(slots=3)
+    wide = res.request(slots=3)  # takes the free slot, queues for two
+    assert hold.triggered and not wide.triggered
+    assert res.count == 4 and wide._need == 2
+    assert (res.grants, res.waits) == (4, 2)
+    with pytest.raises(SimulationError):
+        res.release(wide)  # still queued: cancel() it instead
+    assert res.count == 4
+    res.release(hold)
+    assert wide.triggered and res.count == 3
+    res.release(wide)
+    assert res.count == 0 and wide.value is None  # no self-reference left
+    with pytest.raises(SimulationError):
+        res.release(wide)
+
+
+def test_cancelled_partial_claim_hands_its_slots_on_in_fifo_order(sim):
+    res = Resource(sim, capacity=3)
+    hold = res.request(slots=2)
+    wide = res.request(slots=3)  # holds 1, needs 2
+    first = res.request()
+    second = res.request()
+    res.cancel(wide)
+    assert first.triggered and not second.triggered
+    assert res.count == 3 and list(res.queue) == [second]
+    res.release(hold)
+    assert second.triggered and res.count == 2
+
+
+# ---------------------------------------------------------------------------
+# deliver (no put event)
+# ---------------------------------------------------------------------------
+
+
+def test_deliver_serves_getter_without_an_event(sim):
+    ch = Channel(sim)
+    getter = ch.get(match=lambda x: x == "m")
+    assert getter._abandon is not None
+    ch.deliver("m")
+    assert getter.triggered and getter._abandon is None  # served: hook dropped
+    assert len(sim._queue) == 1  # the getter's wake-up, and no put event
+    ch.deliver("other")
+    assert list(ch.items) == ["other"]
+
+
+def test_deliver_into_full_store_raises(sim):
+    store = Store(sim, capacity=1)
+    store.deliver("a")
+    with pytest.raises(SimulationError):
+        store.deliver("b")

@@ -59,3 +59,24 @@ def test_cli_tiny_writes_artifact(tmp_path):
     assert payload["current"]["label"] == "smoke"
     assert payload["current"]["tiny"] is True
     assert set(payload["current"]["results"]) == EXPECTED_METRICS
+
+
+def test_cli_fails_when_invariants_drift(tmp_path, monkeypatch):
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import bench_kernel_hotpath as bench
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    results, invariants = bench.run_suite(tiny=True)
+    baseline = tmp_path / "baseline.json"
+    monkeypatch.setattr(bench, "BASELINE_PATH", baseline)
+    out = str(tmp_path / "BENCH_kernel.json")
+    baseline.write_text(json.dumps(
+        {"tiny": True, "results": results, "invariants": invariants}
+    ))
+    assert bench.main(["--tiny", "--out", out]) == 0
+    invariants["alltoall_wall_s"]["final_time"] += 1e-9
+    baseline.write_text(json.dumps(
+        {"tiny": True, "results": results, "invariants": invariants}
+    ))
+    assert bench.main(["--tiny", "--out", out]) == 1
