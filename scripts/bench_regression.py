@@ -1,42 +1,53 @@
 #!/usr/bin/env python
-"""Performance-regression gate for the kernel hot paths.
+"""Wall-clock gates for the simulator and its sweep harness.
 
-Runs the ``bench_kernel_hotpath`` micro-suite fresh and compares it
-against the committed reference, ``benchmarks/baseline_kernel.json``.
-The gate fails (exit 1) when
+Every invocation runs five gates, lists every failure and exits 1 if
+there is any.
 
-* any throughput metric (``*_per_s``) drops more than ``--threshold``
-  (default 15%) below the baseline, or any wall-time metric
-  (``*_wall_s``) grows more than the threshold above it; or
-* the *simulated* invariants (final times, failure/checkpoint counts)
-  differ from the baseline — a speedup that changes simulated results
-  is a bug, not an optimization.
+Four are paired gates (:func:`paired_gate`).  Each times an ``off``
+and an ``on`` callable back to back, alternating which goes first, and
+fails when the median of the paired on/off wall-time ratios exceeds
+``1 + budget``:
 
-Speedups never fail the gate; refresh the baseline deliberately with
-``python benchmarks/bench_kernel_hotpath.py --save-baseline`` after a
-real improvement.
+* fidelity guard: ``alltoall_bridge`` at ``fidelity=analytic`` against
+  ``fidelity=exact``, budget 0 (the analytic tier is no slower);
+* obs overhead gate: ``alltoall_bridge`` with ``REPRO_FLEET_INDEX`` set
+  against unset, observability off, budget 3%; nothing may be indexed;
+* telemetry overhead gate: a serial sweep with a telemetry channel
+  against one without, budget 3%;
+* policy overhead gate: the same sweep with an armed but idle
+  :class:`~repro.sweep.policy.FailurePolicy` against none, budget 3%;
+  no job may fail or retry.
 
-With ``--reuse-cache`` a run that already passed the gate for the
-**exact same simulator sources and baseline file** (keyed by the sweep
-cache's code-version digest) is served from the content-addressed
-result cache instead of being re-timed — identical code cannot have
-regressed against an identical baseline, so warm CI passes are ~free.
-Any source or baseline change re-keys the entry and re-runs the gate.
+The median of paired ratios is what the benchmark reports too
+(``perfbench/stats.py``): a best-of-N per side turns one lucky sample
+into a verdict, while one pair's noise moves a median by at most a rank.
+
+The fifth is the kernel floor.  It runs the ``bench_kernel_hotpath``
+micro-suite (best-of-``--repeats``) and compares it against the
+committed ``benchmarks/baseline_kernel.json``.  It fails when any
+metric's speed (throughput, or baseline over current wall time) falls
+below 0.85x of the baseline's, or when any *simulated* invariant
+differs: a speedup that changes simulated results is a bug.  Refresh
+the baseline deliberately with
+``python benchmarks/bench_kernel_hotpath.py --save-baseline``.
 
 Usage::
 
-    python scripts/bench_regression.py              # full sizes, 5 repeats
-    python scripts/bench_regression.py --tiny       # CI smoke (invariants only)
-    python scripts/bench_regression.py --threshold 0.10
-    python scripts/bench_regression.py --reuse-cache --cache-dir .sweep_cache
+    python scripts/bench_regression.py               # kernel floor best-of-5
+    python scripts/bench_regression.py --repeats 3   # as CI runs it
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
+from time import perf_counter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
@@ -45,424 +56,230 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.bench_kernel_hotpath import BASELINE_PATH, run_suite  # noqa: E402
+from perfbench.stats import summarize  # noqa: E402
+from repro.sweep.engine import SweepSpec, run_sweep  # noqa: E402
+from repro.sweep.experiments import effective_config, get_experiment  # noqa: E402
+from repro.sweep.policy import FailurePolicy  # noqa: E402
+
+#: A paired gate times pairs in blocks of this many and stops after the
+#: first block whose median CI lies wholly above or below its limit.
+BLOCK_PAIRS = 20
+#: ... or after this many pairs, where it judges the median alone.  On a
+#: 2-vCPU Xeon, 20-pair blocks of an unchanged obs gate read medians of
+#: 0.938-1.092 but 200 pairs 1.000 [0.980, 1.013]; 200 telemetry-gate
+#: pairs take one to two minutes there.
+MAX_PAIRS = 200
+#: Fractional wall-time budget of each overhead gate.
+OVERHEAD_BUDGET = 0.03
+#: Fractional speed loss against the kernel baseline that fails the floor.
+KERNEL_THRESHOLD = 0.15
+#: ``alltoall_bridge`` runs per obs-gate sample (about 21 ms in all).
+OBS_INNER = 3
+#: ~100 ms of simulation per job, so the harness wiring is measured
+#: against a realistic serving workload, not pure overhead.
+SWEEP = SweepSpec(
+    experiments=["pingpong"], seeds=[0, 1],
+    overrides={"pingpong": {"rounds": 120}},
+)
 
 
-def fidelity_guard(repeats: int) -> list[str]:
-    """Wall-clock guard for the analytic fidelity tier.
+def paired_gate(name: str, off, on, budget: float) -> list[str]:
+    """Fail *name* when *on* costs more than ``1 + budget`` times *off*.
 
-    Runs the ``alltoall_bridge`` experiment at ``fidelity=exact`` and
-    ``fidelity=analytic`` (best-of-N wall each) and fails when the
-    analytic tier is slower than exact — the whole point of the tier is
-    to be cheaper than per-rank event simulation, so a regression here
-    means the closed-form path grew an accidental hot loop.
+    After one untimed warm-up of each side, times the two callables back
+    to back, alternating which goes first, in blocks of
+    :data:`BLOCK_PAIRS` pairs.  It stops once the order-statistic CI of
+    the median on/off ratio clears ``1 + budget`` on either side, or
+    after :data:`MAX_PAIRS` pairs, and fails when that median exceeds
+    ``1 + budget``.  Returns the failure messages (empty when it passes).
     """
-    import time
+    off()
+    on()
+    limit = 1.0 + budget
+    ratios: list[float] = []
+    while True:
+        for _ in range(BLOCK_PAIRS):
+            off_first = len(ratios) % 2 == 0
+            t0 = perf_counter()
+            (off if off_first else on)()
+            t1 = perf_counter()
+            (on if off_first else off)()
+            t2 = perf_counter()
+            first, second = t1 - t0, t2 - t1
+            ratios.append(second / first if off_first else first / second)
+        s = summarize(ratios)
+        if s.ci_lo > limit or s.ci_hi < limit or s.n >= MAX_PAIRS:
+            break
+    stats = (
+        f"median on/off {s.median:.3f} (quartiles {s.q1:.3f}-{s.q3:.3f}, "
+        f"{s.ci_coverage:.0%} CI [{s.ci_lo:.3f}, {s.ci_hi:.3f}], {s.n} pairs)"
+    )
+    ok = s.median <= limit
+    print(f"  {name}: {stats}, budget {limit:.2f}  [{'ok' if ok else 'OVER BUDGET'}]")
+    return [] if ok else [f"{name}: {stats} over budget {limit:.2f}"]
 
-    from repro.sweep.experiments import effective_config, get_experiment
 
+def fidelity_guard() -> list[str]:
+    """The analytic fidelity tier costs no more wall clock than exact.
+
+    The tier exists to be cheaper than per-rank event simulation, so a
+    ratio above 1 means the closed-form path grew an accidental hot loop.
+    """
     exp = get_experiment("alltoall_bridge")
-    walls: dict[str, float] = {}
-    for tier in ("exact", "analytic"):
-        config = effective_config("alltoall_bridge", {"fidelity": tier})
-        best = float("inf")
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            exp.fn(config, seed=0)
-            best = min(best, time.perf_counter() - t0)
-        walls[tier] = best
-        print(f"  alltoall_bridge fidelity={tier:8s} best-of-{repeats} "
-              f"wall {best * 1e3:8.2f} ms")
-    if walls["analytic"] > walls["exact"]:
-        return [
-            "fidelity guard: analytic tier slower than exact "
-            f"({walls['analytic'] * 1e3:.2f} ms > {walls['exact'] * 1e3:.2f} ms)"
-        ]
-    print(f"  analytic/exact wall ratio "
-          f"{walls['analytic'] / walls['exact']:.3f}x  [ok]")
-    return []
+    exact = effective_config("alltoall_bridge", {"fidelity": "exact"})
+    analytic = effective_config("alltoall_bridge", {"fidelity": "analytic"})
+    return paired_gate(
+        "fidelity guard",
+        lambda: exp.fn(exact, seed=0),
+        lambda: exp.fn(analytic, seed=0),
+        budget=0.0,
+    )
 
 
-def obs_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
-    """Observability-off overhead gate for the fleet layer.
+def obs_overhead_gate() -> list[str]:
+    """The fleet run index does not tax unobserved runs.
 
-    Runs the ``alltoall_bridge`` experiment with observability fully
-    disabled, alternating between a clean environment and one where
-    ``REPRO_FLEET_INDEX`` points at a scratch index.  With
-    ``REPRO_OBS_DIR`` unset nothing must be exported or indexed, so
-    the env-on wall time has to stay within *budget* (default 3%) of
-    the env-off one — the run index may not tax unobserved runs.
-    Interleaved best-of-N keeps machine drift out of the ratio.
+    With ``REPRO_OBS_DIR`` unset, ``alltoall_bridge`` with
+    ``REPRO_FLEET_INDEX`` pointing at a temporary index (on) stays within
+    the budget of a clean environment (off), and writes nothing there.
     """
-    import os
-    import tempfile
-    import time
-
-    from repro.sweep.experiments import effective_config, get_experiment
-
     exp = get_experiment("alltoall_bridge")
     config = effective_config("alltoall_bridge", {})
-    inner = 3  # runs per timing sample (amortises timer noise)
-    saved = {
-        k: os.environ.pop(k, None)
-        for k in ("REPRO_OBS_DIR", "REPRO_FLEET_INDEX")
-    }
+    saved = {k: os.environ.pop(k, None) for k in ("REPRO_OBS_DIR", "REPRO_FLEET_INDEX")}
 
-    def measure(tmp: str, n: int) -> tuple[float, float]:
-        """Interleaved best-of-*n* walls: (off, fleet-env-set)."""
-        off = env = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                exp.fn(config, seed=0)
-            off = min(off, time.perf_counter() - t0)
-
-            os.environ["REPRO_FLEET_INDEX"] = tmp
-            t0 = time.perf_counter()
-            for _ in range(inner):
-                exp.fn(config, seed=0)
-            env = min(env, time.perf_counter() - t0)
-            del os.environ["REPRO_FLEET_INDEX"]
-        return off, env
+    def off():
+        for _ in range(OBS_INNER):
+            exp.fn(config, seed=0)
 
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            n = max(repeats, 8)
-            off, env = measure(tmp, n)
-            if env / off > 1.0 + budget:
-                # A loaded machine can fake a few % between identical
-                # runs; confirm before failing the gate.
-                print(f"  first pass {env / off:.3f}x over budget; "
-                      f"re-measuring with best-of-{2 * n} ...")
-                off2, env2 = measure(tmp, 2 * n)
-                off, env = min(off, off2), min(env, env2)
+            def on():
+                os.environ["REPRO_FLEET_INDEX"] = tmp
+                try:
+                    off()
+                finally:
+                    del os.environ["REPRO_FLEET_INDEX"]
+
+            failures = paired_gate("obs overhead gate", off, on, OVERHEAD_BUDGET)
             leftovers = [p for p in Path(tmp).rglob("*") if p.is_file()]
     finally:
         for k, v in saved.items():
             if v is not None:
                 os.environ[k] = v
-            else:
-                os.environ.pop(k, None)
-    ratio = env / off
-    print(f"  obs off              best wall {off * 1e3:8.2f} ms")
-    print(f"  obs off + fleet env  best wall {env * 1e3:8.2f} ms  ({ratio:.3f}x)")
-    failures = []
     if leftovers:
         failures.append(
             "obs overhead gate: unobserved runs wrote fleet artifacts: "
-            + ", ".join(str(p) for p in leftovers[:5])
+            + ", ".join(p.name for p in leftovers[:5])
         )
-    if ratio > 1.0 + budget:
-        failures.append(
-            f"obs overhead gate: fleet-env wall {ratio:.3f}x of clean run "
-            f"(budget {1.0 + budget:.2f}x) with observability off"
-        )
-    else:
-        print(f"  within the {budget:.0%} observability-off budget  [ok]")
     return failures
 
 
-def telemetry_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
-    """Wall-clock budget for the harness-telemetry wiring.
+def telemetry_overhead_gate() -> list[str]:
+    """The harness-telemetry channel costs a sweep at most the budget.
 
-    Times the same serial sweep (pingpong x 2 seeds, no cache) with the
-    telemetry channel off and on, interleaved best-of-N.  The channel
-    path — per-record ``O_APPEND`` writes, end-of-sweep summarisation —
-    must keep the sweep within *budget* (default 3%) of the untelemetered
-    run, and the telemetry-off sweep pays nothing but dead branches.
-    A first failure is re-measured at 2N before the gate trips (loaded
-    CI machines fake a few % between identical runs).
+    The channel path is per-record ``O_APPEND`` writes and the
+    end-of-sweep summary; each telemetry-on sweep gets a fresh channel.
     """
-    import tempfile
-    import time
-    from pathlib import Path
-
-    from repro.sweep.engine import SweepSpec, run_sweep
-
-    # ~100 ms of simulation per job so the per-record channel writes are
-    # measured against a realistic serving workload, not pure overhead.
-    spec = SweepSpec(
-        experiments=["pingpong"], seeds=[0, 1],
-        overrides={"pingpong": {"rounds": 120}},
-    )
-
-    def measure(tmp: str, n: int) -> tuple[float, float]:
-        """Interleaved best-of-*n* sweep walls: (off, telemetry-on)."""
-        off = on = float("inf")
-        for i in range(n):
-            t0 = time.perf_counter()
-            run_sweep(spec, jobs=1)
-            off = min(off, time.perf_counter() - t0)
-
-            channel = Path(tmp) / f"gate{i}.telemetry.jsonl"
-            t0 = time.perf_counter()
-            report = run_sweep(spec, jobs=1, telemetry=channel)
-            on = min(on, time.perf_counter() - t0)
-            assert report.telemetry is not None
-        return off, on
-
+    reports = []
     with tempfile.TemporaryDirectory() as tmp:
-        n = max(repeats, 5)
-        off, on = measure(tmp, n)
-        if on / off > 1.0 + budget:
-            print(f"  first pass {on / off:.3f}x over budget; "
-                  f"re-measuring with best-of-{2 * n} ...")
-            off2, on2 = measure(tmp, 2 * n)
-            off, on = min(off, off2), min(on, on2)
-    ratio = on / off
-    print(f"  telemetry off  best sweep wall {off * 1e3:8.2f} ms")
-    print(f"  telemetry on   best sweep wall {on * 1e3:8.2f} ms  ({ratio:.3f}x)")
-    if ratio > 1.0 + budget:
-        return [
-            f"telemetry overhead gate: telemetry-on sweep {ratio:.3f}x of "
-            f"telemetry-off (budget {1.0 + budget:.2f}x)"
-        ]
-    print(f"  within the {budget:.0%} harness-telemetry budget  [ok]")
-    return []
-
-
-def policy_overhead_gate(repeats: int, budget: float = 0.03) -> list[str]:
-    """Wall-clock budget for the failure-policy wiring.
-
-    Times the same serial sweep (pingpong x 2 seeds, no cache) with no
-    policy and with a full :class:`FailurePolicy` armed (timeout,
-    retries, backoff — none of which should fire on healthy jobs),
-    interleaved best-of-N.  The policy path is bookkeeping around the
-    execute call — attempt counters, deadline stamps, dead chaos
-    branches — and must keep the sweep within *budget* (default 3%) of
-    the policy-free run.  A first failure is re-measured at 2N before
-    the gate trips.
-    """
-    import time
-
-    from repro.sweep.engine import SweepSpec, run_sweep
-    from repro.sweep.policy import FailurePolicy
-
-    spec = SweepSpec(
-        experiments=["pingpong"], seeds=[0, 1],
-        overrides={"pingpong": {"rounds": 120}},
-    )
-    policy = FailurePolicy(timeout_s=300.0, max_retries=3)
-
-    def measure(n: int) -> tuple[float, float]:
-        """Interleaved best-of-*n* sweep walls: (off, policy-armed)."""
-        off = on = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            run_sweep(spec, jobs=1)
-            off = min(off, time.perf_counter() - t0)
-
-            t0 = time.perf_counter()
-            report = run_sweep(spec, jobs=1, policy=policy)
-            on = min(on, time.perf_counter() - t0)
-            assert report.ok and report.n_retries == 0
-        return off, on
-
-    n = max(repeats, 5)
-    off, on = measure(n)
-    if on / off > 1.0 + budget:
-        print(f"  first pass {on / off:.3f}x over budget; "
-              f"re-measuring with best-of-{2 * n} ...")
-        off2, on2 = measure(2 * n)
-        off, on = min(off, off2), min(on, on2)
-    ratio = on / off
-    print(f"  policy off    best sweep wall {off * 1e3:8.2f} ms")
-    print(f"  policy armed  best sweep wall {on * 1e3:8.2f} ms  ({ratio:.3f}x)")
-    if ratio > 1.0 + budget:
-        return [
-            f"policy overhead gate: policy-armed sweep {ratio:.3f}x of "
-            f"policy-free (budget {1.0 + budget:.2f}x)"
-        ]
-    print(f"  within the {budget:.0%} failure-policy budget  [ok]")
-    return []
-
-
-def compare(results: dict, invariants: dict, baseline: dict,
-            threshold: float, tiny: bool) -> list[str]:
-    """Return a list of failure messages (empty = gate passes)."""
-    failures: list[str] = []
-
-    # Timing is only comparable at matching workload sizes; the tiny
-    # smoke run still validates the simulated invariants below.
-    if baseline.get("tiny") == tiny:
-        for key, base_v in baseline["results"].items():
-            now_v = results.get(key)
-            if now_v is None or not base_v:
-                continue
-            if key.endswith("_wall_s"):
-                ratio = base_v / now_v  # >1 = faster
-            else:
-                ratio = now_v / base_v
-            verdict = "ok" if ratio >= 1.0 - threshold else "REGRESSION"
-            print(f"  {key:32s} {ratio:6.3f}x vs baseline  [{verdict}]")
-            if ratio < 1.0 - threshold:
-                failures.append(
-                    f"{key}: {ratio:.3f}x of baseline "
-                    f"(allowed >= {1.0 - threshold:.2f}x)"
-                )
-    else:
-        print(
-            f"  (baseline is tiny={baseline.get('tiny')}, run is tiny={tiny}: "
-            "skipping timing comparison, checking invariants only)"
+        channels = (Path(tmp) / f"{i}.telemetry.jsonl" for i in itertools.count())
+        failures = paired_gate(
+            "telemetry overhead gate",
+            lambda: run_sweep(SWEEP, jobs=1),
+            lambda: reports.append(run_sweep(SWEEP, jobs=1, telemetry=next(channels))),
+            OVERHEAD_BUDGET,
         )
-
-    if baseline.get("tiny") == tiny:
-        base_inv = baseline.get("invariants", {})
-        if invariants != base_inv:
-            diffs = [k for k in base_inv if invariants.get(k) != base_inv[k]]
-            failures.append(
-                f"simulated invariants differ from baseline: {diffs or 'keys'}"
-            )
-        else:
-            print("  simulated invariants match baseline")
+    if any(r.telemetry is None for r in reports):
+        failures.append("telemetry overhead gate: a telemetry-on sweep has no telemetry summary")
     return failures
 
 
-def _gate_digest(baseline: dict, tiny: bool, threshold: float) -> str:
-    """Cache key of one gate evaluation: code version + baseline + knobs."""
-    from repro.sweep.digests import job_digest
+def policy_overhead_gate() -> list[str]:
+    """An armed but idle failure policy costs a sweep at most the budget.
 
-    return job_digest(
-        "__bench_regression__",
-        {
-            "baseline": baseline,
-            "tiny": tiny,
-            "threshold": threshold,
-        },
-        seed=0,
+    The policy path is bookkeeping around each execute call (attempt
+    counters, deadline stamps, dead chaos branches); none of its
+    timeouts, retries or backoffs may fire on healthy jobs.
+    """
+    policy = FailurePolicy(timeout_s=300.0, max_retries=3)
+    reports = []
+    failures = paired_gate(
+        "policy overhead gate",
+        lambda: run_sweep(SWEEP, jobs=1),
+        lambda: reports.append(run_sweep(SWEEP, jobs=1, policy=policy)),
+        OVERHEAD_BUDGET,
     )
+    if not all(r.ok and r.n_retries == 0 for r in reports):
+        failures.append("policy overhead gate: an idle policy failed or retried a healthy job")
+    return failures
+
+
+def compare(results: dict, invariants: dict, baseline: dict) -> list[str]:
+    """Kernel-floor failure messages for one suite run (empty = pass)."""
+    failures: list[str] = []
+    for key, base_v in baseline["results"].items():
+        now_v = results.get(key)
+        if now_v is None or not base_v:
+            continue
+        if key.endswith("_wall_s"):
+            ratio = base_v / now_v  # >1 = faster
+        else:
+            ratio = now_v / base_v
+        verdict = "ok" if ratio >= 1.0 - KERNEL_THRESHOLD else "REGRESSION"
+        print(f"  {key:32s} {ratio:6.3f}x vs baseline  [{verdict}]")
+        if ratio < 1.0 - KERNEL_THRESHOLD:
+            failures.append(
+                f"{key}: {ratio:.3f}x of baseline "
+                f"(allowed >= {1.0 - KERNEL_THRESHOLD:.2f}x)"
+            )
+
+    base_inv = baseline.get("invariants", {})
+    if invariants != base_inv:
+        diffs = [k for k in base_inv if invariants.get(k) != base_inv[k]]
+        failures.append(
+            f"simulated invariants differ from baseline: {diffs or 'keys'}"
+        )
+    else:
+        print("  simulated invariants match baseline")
+    return failures
+
+
+def kernel_floor(repeats: int) -> list[str]:
+    """The hot-path suite, best-of-*repeats*, against the committed baseline."""
+    if not BASELINE_PATH.exists():
+        print(f"  no baseline at {BASELINE_PATH}; nothing to gate against")
+        return []
+    baseline = json.loads(BASELINE_PATH.read_text())
+    print(f"  hot-path suite best-of-{repeats} against baseline "
+          f"{baseline.get('label')!r} (threshold {KERNEL_THRESHOLD:.0%}):")
+    results, invariants = run_suite(repeats=repeats)
+    return compare(results, invariants, baseline)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="maximum tolerated fractional slowdown (default 0.15)",
-    )
-    ap.add_argument(
-        "--tiny", action="store_true",
-        help="tiny smoke workloads (timing skipped unless baseline is tiny)",
-    )
-    ap.add_argument(
         "--repeats", type=int, default=5,
-        help="best-of-N repeats per benchmark (default 5)",
-    )
-    ap.add_argument(
-        "--reuse-cache", action="store_true",
-        help="skip re-timing when this exact code + baseline already "
-             "passed the gate (sweep result cache)",
-    )
-    ap.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="sweep cache root (default $REPRO_SWEEP_CACHE or .sweep_cache)",
-    )
-    ap.add_argument(
-        "--fidelity-guard", action="store_true",
-        help="also assert the analytic fidelity tier is not slower than "
-             "the exact tier (alltoall_bridge, best-of-3 wall)",
-    )
-    ap.add_argument(
-        "--obs-overhead-gate", action="store_true",
-        help="also assert the fleet-observability wiring adds <3%% wall "
-             "time to unobserved runs (interleaved best-of-N)",
-    )
-    ap.add_argument(
-        "--telemetry-overhead-gate", action="store_true",
-        help="also assert the harness-telemetry channel keeps sweep wall "
-             "time within 3%% of an untelemetered sweep",
-    )
-    ap.add_argument(
-        "--policy-overhead-gate", action="store_true",
-        help="also assert an armed-but-idle failure policy keeps sweep "
-             "wall time within 3%% of a policy-free sweep",
+        help="kernel floor: best-of-N runs per benchmark (default 5)",
     )
     args = ap.parse_args(argv)
 
-    if args.fidelity_guard:
-        print("fidelity guard (analytic vs exact wall clock):")
-        failures = fidelity_guard(repeats=3)
-        if failures:
-            print("\nBENCH REGRESSION GATE FAILED:")
-            for f in failures:
-                print(f"  - {f}")
-            return 1
-
-    if args.obs_overhead_gate:
-        print("observability-off overhead gate (fleet wiring):")
-        failures = obs_overhead_gate(repeats=args.repeats)
-        if failures:
-            print("\nBENCH REGRESSION GATE FAILED:")
-            for f in failures:
-                print(f"  - {f}")
-            return 1
-
-    if args.telemetry_overhead_gate:
-        print("harness-telemetry overhead gate (sweep wall clock):")
-        failures = telemetry_overhead_gate(repeats=args.repeats)
-        if failures:
-            print("\nBENCH REGRESSION GATE FAILED:")
-            for f in failures:
-                print(f"  - {f}")
-            return 1
-
-    if args.policy_overhead_gate:
-        print("failure-policy overhead gate (sweep wall clock):")
-        failures = policy_overhead_gate(repeats=args.repeats)
-        if failures:
-            print("\nBENCH REGRESSION GATE FAILED:")
-            for f in failures:
-                print(f"  - {f}")
-            return 1
-
-    if not BASELINE_PATH.exists():
-        print(f"no baseline at {BASELINE_PATH}; nothing to gate against")
-        return 0
-    baseline = json.loads(BASELINE_PATH.read_text())
-
-    cache = gate_key = None
-    if args.reuse_cache:
-        import os
-
-        from repro.sweep.cache import ResultCache
-
-        cache = ResultCache(
-            args.cache_dir
-            or os.environ.get("REPRO_SWEEP_CACHE", ".sweep_cache")
-        )
-        gate_key = _gate_digest(baseline, args.tiny, args.threshold)
-        hit = cache.get(gate_key)
-        if hit is not None:
-            payload, _ = hit
-            print(
-                "bench regression gate passed (served from cache: identical "
-                f"sources + baseline already gated; key {gate_key[:16]}…)"
-            )
-            for key, ratio in sorted(payload.get("ratios", {}).items()):
-                print(f"  {key:32s} {ratio:6.3f}x vs baseline  [cached]")
-            return 0
-
-    print(f"running hot-path suite (tiny={args.tiny}, repeats={args.repeats}) ...")
-    results, invariants = run_suite(tiny=args.tiny, repeats=args.repeats)
-    print(f"comparing against baseline {baseline.get('label')!r} "
-          f"(threshold {args.threshold:.0%}):")
-    failures = compare(results, invariants, baseline, args.threshold, args.tiny)
+    failures: list[str] = []
+    for title, gate in (
+        ("fidelity guard (analytic vs exact wall clock)", fidelity_guard),
+        ("observability-off overhead gate (fleet wiring)", obs_overhead_gate),
+        ("harness-telemetry overhead gate (sweep wall clock)", telemetry_overhead_gate),
+        ("failure-policy overhead gate (sweep wall clock)", policy_overhead_gate),
+        ("kernel floor", lambda: kernel_floor(args.repeats)),
+    ):
+        print(f"{title}:")
+        failures += gate()
 
     if failures:
         print("\nBENCH REGRESSION GATE FAILED:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    if cache is not None and gate_key is not None:
-        ratios = {
-            k: (baseline["results"][k] / results[k] if k.endswith("_wall_s")
-                else results[k] / baseline["results"][k])
-            for k in baseline.get("results", {})
-            if results.get(k) and baseline["results"][k]
-        }
-        cache.put(
-            gate_key,
-            {"passed": True, "ratios": ratios, "invariants": invariants},
-            meta={"kind": "bench_regression"},
-        )
     print("bench regression gate passed")
     return 0
 

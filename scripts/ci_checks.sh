@@ -18,8 +18,7 @@ echo "== kernel hot-path smoke (tiny) =="
 python benchmarks/bench_kernel_hotpath.py --tiny --out "$(mktemp)"
 
 echo "== bench regression gate =="
-python scripts/bench_regression.py --repeats 3 --fidelity-guard \
-    --obs-overhead-gate --telemetry-overhead-gate --policy-overhead-gate
+python scripts/bench_regression.py --repeats 3
 
 FLEET_TMP=$(mktemp -d)
 TELE_TMP=$(mktemp -d)
