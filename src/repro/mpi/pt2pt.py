@@ -14,9 +14,7 @@ wildcards, non-overtaking per (source, context, tag).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
@@ -67,7 +65,43 @@ def packet_key(msg) -> Optional[tuple]:
     return ("seq", h.dst_gpid, h.kind, h.src_gpid, h.seq)
 
 
-@lru_cache(maxsize=16384)
+class _EnvelopeMatch:
+    """The predicate :func:`make_match` returns.
+
+    An object, not a closure, because each rank keeps its predicates
+    for the life of its world: the collector tracks at most two objects
+    for it (itself and its key) where a closure with its cells makes
+    seven.  ``exact_key`` is set only on wildcard-free predicates.
+    """
+
+    # ``__weakref__``: predicates stay weakly referenceable, as functions are.
+    __slots__ = (
+        "my_gpid", "context_id", "src_gpid", "tag", "exact_key", "__weakref__",
+    )
+
+    def __init__(
+        self, my_gpid: int, context_id: int, src_gpid: Optional[int], tag: int
+    ) -> None:
+        self.my_gpid = my_gpid
+        self.context_id = context_id
+        self.src_gpid = src_gpid
+        self.tag = tag
+        if src_gpid is not None and tag != ANY_TAG:
+            self.exact_key = ("env", my_gpid, context_id, src_gpid, tag)
+
+    def __call__(self, msg) -> bool:
+        h: PacketHeader = msg.payload
+        if not isinstance(h, PacketHeader) or h.kind not in ("eager", "rts"):
+            return False
+        if h.dst_gpid != self.my_gpid or h.context_id != self.context_id:
+            return False
+        if self.src_gpid is not None and h.src_gpid != self.src_gpid:
+            return False
+        if self.tag != ANY_TAG and h.tag != self.tag:
+            return False
+        return True
+
+
 def make_match(
     my_gpid: int,
     context_id: int,
@@ -79,29 +113,16 @@ def make_match(
     ``src_gpid=None`` means ``MPI_ANY_SOURCE``; ``tag=ANY_TAG`` matches
     any tag.  CTS/data packets never match an envelope receive.
 
-    The predicate is pure in its arguments, so repeated receives on the
-    same (rank, context, source, tag) — the common streaming pattern —
-    reuse one closure instead of allocating per call.  Wildcard-free
-    predicates carry an ``exact_key`` equal to :func:`packet_key` of
-    the (unique) envelope they accept, enabling the channel's keyed
-    waiter index; wildcard receives stay on the predicate-scan path.
+    The predicate is pure in its arguments, so a rank may reuse one
+    for repeated receives on the same (context, source, tag), the
+    common streaming pattern; :class:`~repro.mpi.world.MPIProcess`
+    keeps such a memo per rank, so predicates are freed with their
+    world.  Wildcard-free predicates carry an ``exact_key`` equal to
+    :func:`packet_key` of the (unique) envelope they accept, enabling
+    the channel's keyed waiter index; wildcard receives stay on the
+    predicate-scan path.
     """
-
-    def match(msg) -> bool:
-        h: PacketHeader = msg.payload
-        if not isinstance(h, PacketHeader) or h.kind not in ("eager", "rts"):
-            return False
-        if h.dst_gpid != my_gpid or h.context_id != context_id:
-            return False
-        if src_gpid is not None and h.src_gpid != src_gpid:
-            return False
-        if tag != ANY_TAG and h.tag != tag:
-            return False
-        return True
-
-    if src_gpid is not None and tag != ANY_TAG:
-        match.exact_key = ("env", my_gpid, context_id, src_gpid, tag)
-    return match
+    return _EnvelopeMatch(my_gpid, context_id, src_gpid, tag)
 
 
 def make_seq_match(my_gpid: int, kind: str, src_gpid: int, seq: int):

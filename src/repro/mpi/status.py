@@ -10,7 +10,9 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen, for the same reason as TransferRecord: one is built per
+# receive.
+@dataclass(slots=True)
 class Status:
     """Outcome of a completed receive (like ``MPI_Status``)."""
 

@@ -88,15 +88,11 @@ class Transport:
         record = yield from self.bridge.send_message(msg)
         return record
 
-    def inbox_of(self, endpoint: str):
+    def interface_of(self, endpoint: str):
         fabric = self._fabric_of(endpoint)
         if fabric is None:
             raise RoutingError(f"endpoint {endpoint!r} not attached to any fabric")
-        return fabric.interface(endpoint).inbox
-
-    def recv_overhead(self, endpoint: str) -> float:
-        fabric = self._fabric_of(endpoint)
-        return fabric.interface(endpoint).recv_overhead_s if fabric else 0.0
+        return fabric.interface(endpoint)
 
 
 class MPIProcess:
@@ -115,11 +111,17 @@ class MPIProcess:
         self.endpoint = endpoint
         self.node = node
         self._seq = itertools.count()
-        self._inbox = world.transport.inbox_of(endpoint)
+        #: This rank's port: an endpoint's interface never changes, so
+        #: receives read its inbox and overhead without a lookup.
+        self._iface = world.transport.interface_of(endpoint)
+        self._inbox = self._iface.inbox
         # Enable the inbox's keyed waiter index: exact receives are then
         # served by dict lookup instead of a predicate scan (idempotent;
         # several MPIProcesses may share an endpoint across worlds).
         self._inbox.key_of = packet_key
+        #: Envelope predicates by (context, source gpid, tag): repeated
+        #: receives reuse one, which lives as long as this rank.
+        self._matches: dict[tuple, Any] = {}
         #: Set by the world before the entry function runs.
         self.comm_world: Optional["Communicator"] = None
         #: Intercommunicator to the spawning parents, if this process
@@ -138,6 +140,17 @@ class MPIProcess:
         yield self.sim.timeout(seconds)
 
     # -- point-to-point ------------------------------------------------------
+    def _envelope_match(self, comm: "Communicator", source: int, tag: int):
+        """This rank's (memoized) envelope predicate for a receive."""
+        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
+        key = (comm.context_id, src_gpid, tag)
+        match = self._matches.get(key)
+        if match is None:
+            match = self._matches[key] = make_match(
+                self.gpid, comm.context_id, src_gpid, tag
+            )
+        return match
+
     def send(
         self,
         comm: "Communicator",
@@ -205,13 +218,10 @@ class MPIProcess:
         tag: int = ANY_TAG,
     ):
         """Generator: blocking receive.  Returns ``(value, Status)``."""
-        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
-        msg = yield self._inbox.get(
-            make_match(self.gpid, comm.context_id, src_gpid, tag)
-        )
+        msg = yield self._inbox.get(self._envelope_match(comm, source, tag))
         self.world._m_matched.add(1)
         header: PacketHeader = msg.payload
-        overhead = self.world.transport.recv_overhead(self.endpoint)
+        overhead = self._iface.recv_overhead_s
         if overhead > 0:
             yield self.sim.timeout(overhead)
         if header.kind == "eager":
@@ -283,10 +293,7 @@ class MPIProcess:
         Returns a :class:`Status` if a matching envelope is buffered,
         else ``None``.  (Not a generator — costs no simulated time.)
         """
-        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
-        msg = self._inbox.peek_match(
-            make_match(self.gpid, comm.context_id, src_gpid, tag)
-        )
+        msg = self._inbox.peek_match(self._envelope_match(comm, source, tag))
         if msg is None:
             return None
         h: PacketHeader = msg.payload

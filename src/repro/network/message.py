@@ -25,7 +25,7 @@ class Message:
     context: int = 0
     payload: Any = None
     kind: str = "data"
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = field(default_factory=_msg_counter.__next__)
     #: Simulated time the message was injected / delivered (filled by fabric).
     sent_at: Optional[float] = None
     received_at: Optional[float] = None
@@ -38,7 +38,10 @@ class Message:
         return self.received_at - self.sent_at
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, several times the cost of plain stores, and one
+# record is built per transfer.
+@dataclass(slots=True)
 class TransferRecord:
     """One completed transfer, for statistics."""
 

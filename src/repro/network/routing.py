@@ -55,6 +55,23 @@ def dimension_order_route(
     return path
 
 
+def _paths_from_predecessors(
+    pred: dict[str, list[str]], src: str, dst: str
+) -> list[list[str]]:
+    """Every shortest path *src* -> *dst* in a BFS predecessor map.
+
+    *pred* is ``nx.predecessor(graph, src)``.  The paths come in the
+    order ``nx.all_shortest_paths`` yields them: depth-first from *dst*,
+    taking each node's predecessors in list order.  A BFS map holds no
+    cycles, since every predecessor sits one level closer to *src*, so
+    the partial paths grow one level at a time and reach *src* together.
+    """
+    partial = [[dst]]
+    while partial[0][-1] != src:
+        partial = [p + [u] for p in partial for u in pred[p[-1]]]
+    return [p[::-1] for p in partial]
+
+
 class RoutingTable:
     """Precomputed static routes between all endpoint pairs.
 
@@ -66,7 +83,9 @@ class RoutingTable:
         ``"shortest"`` (default) or ``"dimension-order"``.  For
         ``"shortest"``, equal-cost multipaths are disambiguated by a
         hash of the endpoint pair, spreading load over spines the way a
-        static subnet manager would.
+        static subnet manager would.  Each source runs one breadth-first
+        search, whose predecessor map serves its routes to every
+        destination.
     """
 
     def __init__(self, topo: Topology, scheme: str = "shortest") -> None:
@@ -75,8 +94,8 @@ class RoutingTable:
         self.topo = topo
         self.scheme = scheme
         self._routes: dict[tuple[str, str], list[str]] = {}
-        if scheme == "shortest":
-            self._all_paths = None  # computed lazily per pair
+        #: source -> BFS predecessor map (``"shortest"`` only).
+        self._preds: dict[str, dict[str, list[str]]] = {}
 
     def route(self, src: str, dst: str) -> list[str]:
         """Vertex path from *src* to *dst* (cached)."""
@@ -116,21 +135,27 @@ class RoutingTable:
                 seen.setdefault(tuple(path), path)
             routes = list(seen.values())
         else:
-            routes = [
-                list(p)
-                for p in nx.all_shortest_paths(self.topo.graph, src, dst)
-            ]
+            routes = self._shortest_paths(src, dst)
         self._routes[key] = routes
         return routes
+
+    def _shortest_paths(self, src: str, dst: str) -> list[list[str]]:
+        """All equal-cost shortest paths, in ``nx.all_shortest_paths`` order."""
+        pred = self._preds.get(src)
+        if pred is None:
+            try:
+                pred = nx.predecessor(self.topo.graph, src)
+            except nx.NodeNotFound as exc:
+                raise RoutingError(f"no route {src!r} -> {dst!r}") from exc
+            self._preds[src] = pred
+        if dst not in pred:
+            raise RoutingError(f"no route {src!r} -> {dst!r}")
+        return _paths_from_predecessors(pred, src, dst)
 
     def _compute(self, src: str, dst: str) -> list[str]:
         if self.scheme == "dimension-order":
             return dimension_order_route(self.topo, src, dst)
-        g = self.topo.graph
-        try:
-            paths = list(nx.all_shortest_paths(g, src, dst))
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise RoutingError(f"no route {src!r} -> {dst!r}") from exc
+        paths = self._shortest_paths(src, dst)
         # Deterministic ECMP: hash the pair to pick among equal paths.
         # (zlib.crc32, not hash(): str hashing is randomized per run.)
         idx = zlib.crc32(f"{src}->{dst}".encode()) % len(paths)

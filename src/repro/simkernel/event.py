@@ -89,14 +89,21 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        tr = self.sim.trace
+        sim = self.sim
+        tr = sim.trace
         if tr.enabled:
             # Causal tagging: remember which process triggered this
             # event (and when), so the resumed waiter can record a wake
             # edge.  The ``_cause`` slot is deliberately left unset on
             # untraced runs — readers use ``getattr(ev, "_cause", None)``.
             self._cause = tr.wake_cause()
-        self.sim._schedule(self, delay)
+        # Simulator._schedule inlined: every message and grant succeeds
+        # an event, so this push is on the hot path.
+        if self._scheduled:
+            raise SimulationError(f"{self!r} scheduled twice")
+        self._scheduled = True
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._queue, (sim.now + delay, eid, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -157,7 +164,7 @@ class Timeout(Event):
         self._abandon = None
         self.delay = delay
         sim._eid = eid = sim._eid + 1
-        heappush(sim._queue, (sim._now + delay, eid, self))
+        heappush(sim._queue, (sim.now + delay, eid, self))
 
 
 class _Condition(Event):

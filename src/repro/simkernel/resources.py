@@ -120,21 +120,30 @@ class Resource:
 
     # -- accounting ------------------------------------------------------
     def _account(self) -> None:
-        now = self.sim._now
+        """Bring the busy integral up to now (for a query; no breakpoint)."""
+        now = self.sim.now
         if now != self._last_change:
             self._busy_integral += len(self.users) * (now - self._last_change)
             self._last_change = now
 
-    def _mark(self) -> None:
-        """Record a busy-count breakpoint (call after users changed)."""
-        times = self._bp_time
-        if times[-1] == self._last_change:
-            self._bp_integral[-1] = self._busy_integral
+    def _changed(self, busy: int) -> None:
+        """Account a change of the busy count from *busy* to ``len(users)``.
+
+        One step: integrate *busy* up to now and record the new count as
+        a breakpoint.  A later change at the same time overwrites that
+        breakpoint's count; the integral at it cannot have moved.
+        """
+        now = self.sim.now
+        last = self._last_change
+        if now != last:
+            self._busy_integral += busy * (now - last)
+            self._last_change = now
+        elif self._bp_time[-1] == now:
             self._bp_busy[-1] = len(self.users)
-        else:
-            times.append(self._last_change)
-            self._bp_integral.append(self._busy_integral)
-            self._bp_busy.append(len(self.users))
+            return
+        self._bp_time.append(now)
+        self._bp_integral.append(self._busy_integral)
+        self._bp_busy.append(len(self.users))
 
     def _integral_at(self, t: float) -> float:
         """Busy-slot integral accumulated up to time *t* (t <= now)."""
@@ -169,12 +178,12 @@ class Resource:
         event, no scheduler round-trip.
         """
         users = self.users
-        if len(users) < self.capacity:
-            self._account()
+        busy = len(users)
+        if busy < self.capacity:
             slot = _Slot()
             users.append(slot)
             self.grants += 1
-            self._mark()
+            self._changed(busy)
             return slot
         return None
 
@@ -190,9 +199,9 @@ class Resource:
                 f"{self.name or 'resource'}"
             )
         req = Request(self, priority, slots)
-        self._account()
         users = self.users
-        free = self.capacity - len(users)
+        busy = len(users)
+        free = self.capacity - busy
         if free >= slots:
             if slots == 1:
                 users.append(req)
@@ -211,14 +220,15 @@ class Resource:
             # counter timelines (repro.obs.timeline).
             if self.sim.trace.enabled:
                 self._trace_queue(need)
-        self._mark()
+        self._changed(busy)
         return req
 
     def release(self, request: Request) -> None:
         """Return a granted claim's slots; each one wakes the next waiter."""
-        self._account()
+        users = self.users
+        busy = len(users)
         try:
-            self.users.remove(request)
+            users.remove(request)
         except ValueError:
             raise SimulationError(
                 f"release() of a request that does not hold {self.name or 'resource'}"
@@ -227,7 +237,7 @@ class Resource:
             if self.queue:
                 self._grant_head()
         elif request._need:
-            self.users.append(request)  # put the slot back
+            users.append(request)  # put the slot back
             raise SimulationError(
                 f"release() of a claim still queued for {self.name or 'resource'}; "
                 "cancel() it"
@@ -239,7 +249,7 @@ class Resource:
         # A granted Request carries itself as its value; dropping that
         # cycle lets reference counting free the claim.
         request._value = None
-        self._mark()
+        self._changed(busy)
 
     def cancel(self, request: Request) -> None:
         """Withdraw a queued claim, returning any slots it already holds."""
@@ -251,9 +261,9 @@ class Resource:
             self._trace_queue(-request._need)
         held = request.slots - request._need
         if held:
-            self._account()
+            busy = len(self.users)
             self._free(request, held)
-            self._mark()
+            self._changed(busy)
 
     def _free(self, claim: Request, n: int) -> None:
         """Take back *n* slots of *claim*, waking the next waiter for each."""

@@ -38,7 +38,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now", "_queue", "_eid", "_active_process", "_live_processes",
+        "now", "_queue", "_eid", "_active_process", "_live_processes",
         "_events_processed", "_profiled_resources", "profile", "rng", "trace",
         "metrics",
     )
@@ -51,7 +51,10 @@ class Simulator:
         metrics: Any = False,
         max_trace_events: Optional[int] = None,
     ) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute rather
+        #: than a property because every message and claim reads it;
+        #: only the kernel writes it.
+        self.now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -64,7 +67,7 @@ class Simulator:
         self.rng = RandomStreams(seed)
         #: Trace recorder (disabled unless ``trace=True``).
         self.trace = TraceRecorder(enabled=trace, max_events=max_trace_events)
-        self.trace.bind_clock(lambda: self._now)
+        self.trace.bind_clock(lambda: self.now)
         self.trace.bind_active(lambda: self._active_process)
         #: Metrics registry (the shared no-op unless ``metrics`` is set).
         if isinstance(metrics, MetricsRegistry):
@@ -72,12 +75,7 @@ class Simulator:
         else:
             self.metrics = MetricsRegistry() if metrics else NULL_METRICS
 
-    # -- clock ----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
+    # -- state ----------------------------------------------------------
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
@@ -105,7 +103,7 @@ class Simulator:
         t._abandon = None
         t.delay = delay
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, eid, t))
+        heappush(self._queue, (self.now + delay, eid, t))
         return t
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -126,7 +124,7 @@ class Simulator:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, eid, event))
+        heappush(self._queue, (self.now + delay, eid, event))
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
@@ -138,9 +136,9 @@ class Simulator:
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _, event = heappop(self._queue)
-        if when < self._now:  # pragma: no cover - defensive
+        if when < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
-        self._now = when
+        self.now = when
         self._events_processed += 1
         callbacks = event.callbacks
         event.callbacks = None  # mark processed before callbacks run
@@ -165,19 +163,19 @@ class Simulator:
         queue drains while processes are still blocked — almost always a
         model bug (e.g. a receive with no matching send).
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
         # The hot loop: step() inlined, with the queue bound locally and
         # the until-check hoisted into a dedicated variant.
         queue = self._queue
         pop = heappop
         processed = 0
-        run_start = self._now
+        run_start = self.now
         try:
             if until is None:
                 while queue:
                     when, _, event = pop(queue)
-                    self._now = when
+                    self.now = when
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed first
                     processed += 1
@@ -193,10 +191,10 @@ class Simulator:
             else:
                 while queue:
                     if queue[0][0] > until:
-                        self._now = until
+                        self.now = until
                         return until
                     when, _, event = pop(queue)
-                    self._now = when
+                    self.now = when
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed first
                     processed += 1
@@ -210,13 +208,13 @@ class Simulator:
             tr = self.trace
             if tr:
                 tr.record_span(
-                    "kernel", "run", run_start, self._now, events=processed
+                    "kernel", "run", run_start, self.now, events=processed
                 )
         if check_deadlock and self._live_processes > 0:
-            raise DeadlockError(self._live_processes, self._now)
+            raise DeadlockError(self._live_processes, self.now)
         if until is not None:
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     # -- profiling --------------------------------------------------------
     def profile_stats(self) -> dict:
@@ -243,7 +241,7 @@ class Simulator:
                 "utilization": res.utilization(),
             }
         return {
-            "now": self._now,
+            "now": self.now,
             "events_scheduled": self._eid,
             "events_processed": self._events_processed,
             "live_processes": self._live_processes,

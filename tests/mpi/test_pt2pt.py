@@ -1,5 +1,8 @@
 """Point-to-point semantics: eager, rendezvous, matching, ordering."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, MPIError
@@ -268,3 +271,32 @@ def test_eager_threshold_boundary():
     h.run(main)
     assert out["eager_done"] < 0.1  # completed before receiver woke
     assert out["rndv_done"] > 0.4  # waited for the CTS
+
+
+def test_receive_predicates_are_freed_with_their_job(monkeypatch):
+    """Envelope predicates are memoized per rank, not process-wide: a
+    long run of jobs must not keep every job's predicates alive."""
+    from repro.mpi import world as world_module
+
+    made = []
+    make_match = world_module.make_match
+
+    def tracked(*args):
+        pred = make_match(*args)
+        made.append(weakref.ref(pred))
+        return pred
+
+    monkeypatch.setattr(world_module, "make_match", tracked)
+
+    def main(proc):
+        cw = proc.comm_world
+        if cw.rank == 0:
+            yield from cw.send(1, 128, tag=3)
+        else:
+            yield from cw.recv(0, tag=3)
+
+    WorldHarness(n=2).run(main)
+    assert made
+    gc.collect()
+    assert [ref() for ref in made] == [None] * len(made)
+

@@ -23,7 +23,7 @@ def test_transport_unknown_endpoint():
     ib.attach_endpoint("b")
     t = Transport([ib])
     with pytest.raises(RoutingError):
-        t.inbox_of("ghost")
+        t.interface_of("ghost")
 
     def p(sim):
         yield from t.send_message(Message(src="ghost", dst="a", size_bytes=8))

@@ -1,5 +1,8 @@
 """Unit tests for routing and the generic fabric."""
 
+import zlib
+
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError, TopologyError
@@ -8,7 +11,9 @@ from repro.network import (
     LinkSpec,
     Message,
     RoutingTable,
+    all_to_all_topology,
     dimension_order_route,
+    fat_tree_topology,
     star_topology,
     torus_topology,
 )
@@ -61,6 +66,48 @@ def test_routing_table_shortest_and_cache():
     assert rt.hops("n0", "n1") == 2
     assert rt.route("n0", "n0") == ["n0"]
     assert rt.route("n0", "n1") is rt.route("n0", "n1")  # cached
+
+
+#: Switched and direct topologies routed by shortest paths; the fat
+#: tree has 3 equal-cost spine paths between its 5 leaves.
+SHORTEST_TOPOLOGIES = {
+    "fat-tree": lambda: fat_tree_topology([f"cn{i}" for i in range(20)], leaf_radix=4),
+    "star": lambda: star_topology([f"n{i}" for i in range(6)]),
+    "all-to-all": lambda: all_to_all_topology([f"n{i}" for i in range(6)]),
+}
+
+
+def ordered_pairs(topo):
+    return [(a, b) for a in topo.endpoints for b in topo.endpoints if a != b]
+
+
+@pytest.mark.parametrize("name", sorted(SHORTEST_TOPOLOGIES))
+def test_shortest_routes_equal_networkx_all_shortest_paths(name):
+    topo = SHORTEST_TOPOLOGIES[name]()
+    rt = RoutingTable(topo)
+    for src, dst in ordered_pairs(topo):
+        paths = list(nx.all_shortest_paths(topo.graph, src, dst))
+        assert rt.candidate_routes(src, dst) == paths
+        pick = zlib.crc32(f"{src}->{dst}".encode()) % len(paths)
+        assert rt.route(src, dst) == paths[pick]
+
+
+@pytest.mark.parametrize("name", sorted(SHORTEST_TOPOLOGIES))
+def test_routing_table_runs_one_bfs_per_source(name, monkeypatch):
+    topo = SHORTEST_TOPOLOGIES[name]()
+    sources = []
+    bfs = nx.predecessor
+
+    def counting_bfs(graph, source, *args, **kwargs):
+        sources.append(source)
+        return bfs(graph, source, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "predecessor", counting_bfs)
+    rt = RoutingTable(topo)
+    for src, dst in ordered_pairs(topo):
+        rt.route(src, dst)
+        rt.candidate_routes(src, dst)
+    assert sorted(sources) == sorted(topo.endpoints)
 
 
 def test_routing_table_unknown_scheme():

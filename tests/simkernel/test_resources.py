@@ -1,9 +1,13 @@
 """Unit tests for resources, stores, and channels."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simkernel import Channel, PriorityResource, Resource, Store
+from repro.simkernel import Channel, PriorityResource, Resource, Simulator, Store
 
 from tests.conftest import run_to_end
 
@@ -487,3 +491,125 @@ def test_deliver_into_full_store_raises(sim):
     store.deliver("a")
     with pytest.raises(SimulationError):
         store.deliver("b")
+
+
+# ---------------------------------------------------------------------------
+# claim accounting (property)
+# ---------------------------------------------------------------------------
+
+
+class ClaimModel:
+    """A FIFO resource's busy count, grants and waits, kept independently.
+
+    Claims take free slots at once and queue for the rest; each freed
+    slot goes to the oldest waiter.  ``log`` holds (time, busy) after
+    every change, for integrating utilization.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.busy = 0
+        self.grants = 0
+        self.waits = 0
+        self.held: dict[int, int] = {}
+        self.need: dict[int, int] = {}
+        self.queue: list[int] = []
+        self.log = [(0, 0)]
+
+    def claim(self, cid: int, slots: int) -> None:
+        take = min(slots, self.capacity - self.busy)
+        self.busy += take
+        self.grants += take
+        self.held[cid] = take
+        self.need[cid] = slots - take
+        if self.need[cid]:
+            self.waits += self.need[cid]
+            self.queue.append(cid)
+
+    def give_back(self, cid: int) -> None:
+        if cid in self.queue:
+            self.queue.remove(cid)
+        for _ in range(self.held.pop(cid)):
+            self.busy -= 1
+            if self.queue:
+                head = self.queue[0]
+                self.busy += 1
+                self.grants += 1
+                self.held[head] += 1
+                self.need[head] -= 1
+                if not self.need[head]:
+                    self.queue.pop(0)
+        del self.need[cid]
+
+    def utilization(self, since: int, now: int) -> float:
+        total = 0
+        for (t0, busy), (t1, _) in zip(self.log, self.log[1:] + [(now, 0)]):
+            lo, hi = max(t0, since), min(t1, now)
+            if hi > lo:
+                total += busy * (hi - lo)
+        return total / ((now - since) * self.capacity) if now > since else 0.0
+
+
+_claim_ops = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # simulated seconds before the op
+        st.sampled_from(["try", "request", "release", "cancel", "query"]),
+        st.integers(0, 7),  # slots or victim index
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 3), ops=_claim_ops)
+def test_claim_accounting_matches_integrated_busy_log(kind, capacity, ops):
+    """Random interleavings of immediate, queued, released and
+    cancelled claims at advancing times.  Integer times keep every
+    integral exact, so utilization must equal the model's bit for bit."""
+    sim = Simulator()
+    res = kind(sim, capacity=capacity)
+    model = ClaimModel(capacity)
+    handles: dict[int, object] = {}
+    ids = itertools.count()
+
+    def driver():
+        for dt, op, arg in ops:
+            if dt:
+                yield sim.timeout(dt)
+            granted = [c for c in handles if not model.need[c]]
+            queued = list(model.queue)
+            if op == "try":
+                handle = res.try_acquire()
+                assert (handle is not None) == (model.busy < capacity)
+                if handle is None:
+                    continue
+                handles[cid := next(ids)] = handle
+                model.claim(cid, 1)
+            elif op == "request":
+                handles[cid := next(ids)] = req = res.request(slots=1 + arg % capacity)
+                model.claim(cid, req.slots)
+            elif op == "release" and granted:
+                cid = granted[arg % len(granted)]
+                res.release(handles.pop(cid))
+                model.give_back(cid)
+            elif op == "cancel" and queued:
+                cid = queued[arg % len(queued)]
+                res.cancel(handles.pop(cid))
+                model.give_back(cid)
+            elif op == "query":
+                assert res.utilization() == model.utilization(0, sim.now)
+                continue
+            else:
+                continue
+            model.log.append((sim.now, model.busy))
+            assert res.count == model.busy
+            for cid, handle in handles.items():
+                assert handle.triggered == (not model.need[cid])
+
+    sim.process(driver())
+    sim.run()
+    assert (res.grants, res.waits) == (model.grants, model.waits)
+    for since, _ in model.log:
+        assert res.utilization(since) == model.utilization(since, sim.now)
+
