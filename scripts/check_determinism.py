@@ -7,7 +7,8 @@ kernel, contended fabric transfers, MPI point-to-point and collectives,
 SMFU bridging with dynamic gateway selection, and checkpoint/restart —
 twice from scratch, digests everything observable (simulated times,
 byte counters, per-gateway load, checkpoint statistics) and exits 0
-only if the two digests agree.
+only if the two digests agree and, at the default seed, equal the
+pinned digests below.
 
 Run it before and after touching the kernel or network hot paths::
 
@@ -38,8 +39,18 @@ from repro.network.smfu import SMFUSpec  # noqa: E402
 from repro.resilience.checkpoint import simulate_checkpointed_run  # noqa: E402
 from repro.simkernel.simulator import Simulator  # noqa: E402
 
+#: The scenario's digests at the default seed, with observability off
+#: and on.  They pin the simulated results, so a change that moves them
+#: fails here even when it moves them deterministically.  A deliberate
+#: model change updates both constants and says why.
+DEFAULT_SEED = 7
+SCENARIO_DIGEST = "a5d54620baef2e858c27d7e62cc31467fd2d0802991f0b491e0d5d03ca5323f4"
+SCENARIO_DIGEST_OBSERVED = (
+    "9575c192076fdb71f32bfcb48366f0c0ff66643debeba79c98a190dc9b304406"
+)
 
-def run_scenario(seed: int = 7, observe: bool = False) -> dict:
+
+def run_scenario(seed: int = DEFAULT_SEED, observe: bool = False) -> dict:
     """One bridged Cluster-Booster run; returns everything observable.
 
     With *observe* the run also records traces and metrics, and the
@@ -137,7 +148,7 @@ def digest(result: dict) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--show", action="store_true", help="print digests and results")
     args = ap.parse_args(argv)
 
@@ -175,6 +186,22 @@ def main(argv=None) -> int:
             print(f"  {key}: {first[key]!r} != {obs1[key]!r}")
         return 1
     print(f"deterministic (observability on):  {od1}")
+    if args.seed == DEFAULT_SEED:
+        pins = {
+            "SCENARIO_DIGEST": (SCENARIO_DIGEST, d1),
+            "SCENARIO_DIGEST_OBSERVED": (SCENARIO_DIGEST_OBSERVED, od1),
+        }
+        moved = {name: pin for name, pin in pins.items() if pin[0] != pin[1]}
+        if moved:
+            print("SIMULATED RESULTS MOVED: digests differ from the pinned ones")
+            for name, (pinned, got) in moved.items():
+                print(f"  {name}: pinned {pinned}, got {got}")
+            print(
+                f"  for a deliberate model change, update {' and '.join(moved)} "
+                "in scripts/check_determinism.py"
+            )
+            return 1
+        print("pinned digests match")
 
     # Harness telemetry is wall-clock-only: a sweep's simulated digest
     # must be bit-identical with the telemetry channel on or off.

@@ -45,39 +45,47 @@ class PacketHeader:
     value: Any = None
 
 
-def packet_key(msg) -> Optional[tuple]:
-    """The exact-match index key of an incoming packet, or ``None``.
+def envelope_key(dst_gpid: int, context_id: int, src_gpid: int, tag: int) -> tuple:
+    """The :func:`packet_key` of an eager or RTS packet: its MPI envelope."""
+    return ("env", dst_gpid, context_id, src_gpid, tag)
 
-    Installed as the inbox :attr:`~repro.simkernel.resources.Channel.key_of`
-    so waiting receives are served by dict lookup instead of a predicate
-    scan.  Envelope packets (eager/RTS) key on their matching tuple
-    (destination, context, source, tag); protocol packets (CTS/data) key
-    on (destination, kind, source, seq).  The contract with the
-    predicates below: ``pred(msg)`` is true iff ``pred.exact_key ==
-    packet_key(msg)`` for every predicate that advertises an
-    ``exact_key``.
+
+def protocol_key(dst_gpid: int, kind: str, src_gpid: int, seq: int) -> tuple:
+    """The :func:`packet_key` of a CTS or data packet of one rendezvous."""
+    return ("seq", dst_gpid, kind, src_gpid, seq)
+
+
+def packet_key(msg) -> Optional[tuple]:
+    """What identifies an incoming packet to a receive, or ``None``.
+
+    Installed as the inbox :attr:`~repro.simkernel.resources.Channel.key_of`.
+    Envelope packets (eager/RTS) key on their :func:`envelope_key`,
+    protocol packets (CTS/data) on their :func:`protocol_key`; foreign
+    payloads have no key.
+
+    This is the one definition of a packet's envelope: a receive that
+    names its source and tag, and every rendezvous CTS and data wait,
+    waits on its key (``Channel.get(key=...)``).  Predicates from
+    :func:`make_match` serve only what no single key can name: wildcard
+    receives, and probes.
     """
     h = msg.payload
     if not isinstance(h, PacketHeader):
         return None
     if h.kind in ("eager", "rts"):
-        return ("env", h.dst_gpid, h.context_id, h.src_gpid, h.tag)
-    return ("seq", h.dst_gpid, h.kind, h.src_gpid, h.seq)
+        return envelope_key(h.dst_gpid, h.context_id, h.src_gpid, h.tag)
+    return protocol_key(h.dst_gpid, h.kind, h.src_gpid, h.seq)
 
 
 class _EnvelopeMatch:
     """The predicate :func:`make_match` returns.
 
-    An object, not a closure, because each rank keeps its predicates
-    for the life of its world: the collector tracks at most two objects
-    for it (itself and its key) where a closure with its cells makes
-    seven.  ``exact_key`` is set only on wildcard-free predicates.
+    An object, not a closure: the collector tracks one object for it
+    where a closure with its cells makes seven.
     """
 
     # ``__weakref__``: predicates stay weakly referenceable, as functions are.
-    __slots__ = (
-        "my_gpid", "context_id", "src_gpid", "tag", "exact_key", "__weakref__",
-    )
+    __slots__ = ("my_gpid", "context_id", "src_gpid", "tag", "__weakref__")
 
     def __init__(
         self, my_gpid: int, context_id: int, src_gpid: Optional[int], tag: int
@@ -86,8 +94,6 @@ class _EnvelopeMatch:
         self.context_id = context_id
         self.src_gpid = src_gpid
         self.tag = tag
-        if src_gpid is not None and tag != ANY_TAG:
-            self.exact_key = ("env", my_gpid, context_id, src_gpid, tag)
 
     def __call__(self, msg) -> bool:
         h: PacketHeader = msg.payload
@@ -111,36 +117,9 @@ def make_match(
     """Predicate matching an incoming *envelope* (eager or RTS) message.
 
     ``src_gpid=None`` means ``MPI_ANY_SOURCE``; ``tag=ANY_TAG`` matches
-    any tag.  CTS/data packets never match an envelope receive.
-
-    The predicate is pure in its arguments, so a rank may reuse one
-    for repeated receives on the same (context, source, tag), the
-    common streaming pattern; :class:`~repro.mpi.world.MPIProcess`
-    keeps such a memo per rank, so predicates are freed with their
-    world.  Wildcard-free predicates carry an ``exact_key`` equal to
-    :func:`packet_key` of the (unique) envelope they accept, enabling
-    the channel's keyed waiter index; wildcard receives stay on the
-    predicate-scan path.
+    any tag.  CTS/data packets never match an envelope receive.  With a
+    named source and tag it accepts exactly the packets whose
+    :func:`packet_key` is ``envelope_key(my_gpid, context_id, src_gpid,
+    tag)``, so a probe agrees with the keyed receive it stands for.
     """
     return _EnvelopeMatch(my_gpid, context_id, src_gpid, tag)
-
-
-def make_seq_match(my_gpid: int, kind: str, src_gpid: int, seq: int):
-    """Predicate matching a protocol packet (CTS or data) by sequence.
-
-    Always exact — the predicate carries the :func:`packet_key` it
-    accepts, so a parked CTS/data wait costs O(1) to wake.
-    """
-
-    def match(msg) -> bool:
-        h: PacketHeader = msg.payload
-        return (
-            isinstance(h, PacketHeader)
-            and h.kind == kind
-            and h.dst_gpid == my_gpid
-            and h.src_gpid == src_gpid
-            and h.seq == seq
-        )
-
-    match.exact_key = ("seq", my_gpid, kind, src_gpid, seq)
-    return match

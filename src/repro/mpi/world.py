@@ -27,9 +27,10 @@ from repro.mpi.group import Group
 from repro.mpi.pt2pt import (
     HEADER_BYTES,
     PacketHeader,
+    envelope_key,
     make_match,
-    make_seq_match,
     packet_key,
+    protocol_key,
 )
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
@@ -115,13 +116,10 @@ class MPIProcess:
         #: receives read its inbox and overhead without a lookup.
         self._iface = world.transport.interface_of(endpoint)
         self._inbox = self._iface.inbox
-        # Enable the inbox's keyed waiter index: exact receives are then
-        # served by dict lookup instead of a predicate scan (idempotent;
-        # several MPIProcesses may share an endpoint across worlds).
+        # Key the inbox by packet envelope, so receives that name their
+        # packet wait on its key (idempotent; several MPIProcesses may
+        # share an endpoint across worlds).
         self._inbox.key_of = packet_key
-        #: Envelope predicates by (context, source gpid, tag): repeated
-        #: receives reuse one, which lives as long as this rank.
-        self._matches: dict[tuple, Any] = {}
         #: Set by the world before the entry function runs.
         self.comm_world: Optional["Communicator"] = None
         #: Intercommunicator to the spawning parents, if this process
@@ -140,17 +138,6 @@ class MPIProcess:
         yield self.sim.timeout(seconds)
 
     # -- point-to-point ------------------------------------------------------
-    def _envelope_match(self, comm: "Communicator", source: int, tag: int):
-        """This rank's (memoized) envelope predicate for a receive."""
-        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
-        key = (comm.context_id, src_gpid, tag)
-        match = self._matches.get(key)
-        if match is None:
-            match = self._matches[key] = make_match(
-                self.gpid, comm.context_id, src_gpid, tag
-            )
-        return match
-
     def send(
         self,
         comm: "Communicator",
@@ -199,7 +186,7 @@ class MPIProcess:
         yield from self.world.transport.send_message(
             Message(src=self.endpoint, dst=dst_ep, size_bytes=HEADER_BYTES, payload=rts)
         )
-        yield self._inbox.get(make_seq_match(self.gpid, "cts", dst_gpid, seq))
+        yield self._inbox.get(key=protocol_key(self.gpid, "cts", dst_gpid, seq))
         data = PacketHeader(
             "data", comm.context_id, self.gpid, dst_gpid, my_rank,
             tag, seq, size_bytes, value,
@@ -218,7 +205,12 @@ class MPIProcess:
         tag: int = ANY_TAG,
     ):
         """Generator: blocking receive.  Returns ``(value, Status)``."""
-        msg = yield self._inbox.get(self._envelope_match(comm, source, tag))
+        ctx = comm.context_id
+        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
+        if src_gpid is None or tag == ANY_TAG:
+            msg = yield self._inbox.get(make_match(self.gpid, ctx, src_gpid, tag))
+        else:
+            msg = yield self._inbox.get(key=envelope_key(self.gpid, ctx, src_gpid, tag))
         self.world._m_matched.add(1)
         header: PacketHeader = msg.payload
         overhead = self._iface.recv_overhead_s
@@ -236,7 +228,7 @@ class MPIProcess:
             Message(src=self.endpoint, dst=src_ep, size_bytes=HEADER_BYTES, payload=cts)
         )
         data_msg = yield self._inbox.get(
-            make_seq_match(self.gpid, "data", header.src_gpid, header.seq)
+            key=protocol_key(self.gpid, "data", header.src_gpid, header.seq)
         )
         data_header: PacketHeader = data_msg.payload
         return data_header.value, Status(
@@ -293,7 +285,10 @@ class MPIProcess:
         Returns a :class:`Status` if a matching envelope is buffered,
         else ``None``.  (Not a generator — costs no simulated time.)
         """
-        msg = self._inbox.peek_match(self._envelope_match(comm, source, tag))
+        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
+        msg = self._inbox.peek_match(
+            make_match(self.gpid, comm.context_id, src_gpid, tag)
+        )
         if msg is None:
             return None
         h: PacketHeader = msg.payload

@@ -22,6 +22,7 @@ from repro.errors import TaskError
 from repro.ompss.graph import TaskGraph
 from repro.ompss.task import Task
 from repro.simkernel.event import Event
+from repro.simkernel.resources import window_utilization
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.processor import Processor
@@ -47,7 +48,7 @@ class CoreBank:
         self._waiters: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._busy_integral = 0.0
-        self._last_change = sim.now
+        self._last_change = self._created = sim.now
         self._grant_pending = False
 
     def _account(self) -> None:
@@ -56,12 +57,14 @@ class CoreBank:
         self._last_change = now
 
     def utilization(self, since: float = 0.0) -> float:
-        """Mean busy-core fraction over [since, now]."""
+        """Mean busy-core fraction over [since, now], for *since* at or
+        before the bank's creation (see
+        :func:`~repro.simkernel.resources.window_utilization`)."""
         self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
+        return window_utilization(
+            self._busy_integral, self.capacity, self._created, since,
+            self.sim.now, self.name,
+        )
 
     def acquire(self, k: int, priority: float = 0.0) -> Event:
         """Event firing once *k* slots are held by the caller.
@@ -80,10 +83,12 @@ class CoreBank:
 
     def release(self, k: int) -> None:
         """Return *k* slots and wake eligible waiters."""
+        if self.free + k > self.capacity:
+            raise TaskError(
+                f"core bank over-released ({self.free + k}/{self.capacity})"
+            )
         self._account()
         self.free += k
-        if self.free > self.capacity:
-            raise TaskError(f"core bank over-released ({self.free}/{self.capacity})")
         self._grant()
 
     def _schedule_grant(self) -> None:

@@ -6,6 +6,7 @@ import enum
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.errors import AllocationError, ConfigurationError
+from repro.simkernel.resources import window_utilization
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import Node
@@ -40,7 +41,7 @@ class Partition:
         self._state: dict[str, NodeState] = {n.name: NodeState.FREE for n in nodes}
         self._by_name = {n.name: n for n in nodes}
         self._allocated_integral = 0.0
-        self._last_change = sim.now
+        self._last_change = self._created = sim.now
 
     # -- state ------------------------------------------------------------
     @property
@@ -77,12 +78,14 @@ class Partition:
         self._last_change = now
 
     def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of nodes allocated over [since, now]."""
+        """Mean fraction of nodes allocated over [since, now], for
+        *since* at or before the partition's creation (see
+        :func:`~repro.simkernel.resources.window_utilization`)."""
         self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._allocated_integral / (elapsed * self.size)
+        return window_utilization(
+            self._allocated_integral, self.size, self._created, since,
+            self.sim.now, self.name,
+        )
 
     def allocated_node_seconds(self) -> float:
         """Integral of allocated nodes over time."""

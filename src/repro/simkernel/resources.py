@@ -7,15 +7,13 @@
 * :class:`Store` — an unbounded-or-bounded FIFO buffer of items with
   blocking ``put``/``get`` (message queues, mailboxes).
 * :class:`Channel` — a :class:`Store` specialised for message passing
-  with optional matching predicates on ``get`` (used by the MPI layer's
-  unexpected-message queue).
+  whose ``get`` can wait for one item key or a predicate (used by the
+  MPI layer's unexpected-message queue).
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
-from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -78,13 +76,35 @@ class _Slot:
     slots = 1
 
 
+def window_utilization(
+    integral: float, capacity: int, created: float, since: float, now: float,
+    name: str = "",
+) -> float:
+    """Mean busy fraction of *capacity* slots over [since, now].
+
+    *integral* is the busy-slot integral kept from *created* to *now*.
+    Nothing was busy before *created*, so the answer is exact for every
+    window that starts at or before it; an empty window reads 0.0.  A
+    window that starts later would need the history the integral folds
+    away, so it is refused rather than answered from the whole run.
+    """
+    elapsed = now - since
+    if elapsed <= 0:
+        return 0.0
+    if since > created:
+        raise SimulationError(
+            f"utilization of {name or 'resource'} since t={since}: only "
+            f"windows from its creation (t={created}) or earlier are kept"
+        )
+    return integral / (elapsed * capacity)
+
+
 class Resource:
     """*capacity* interchangeable slots with FIFO waiters."""
 
     __slots__ = (
         "sim", "capacity", "name", "users", "queue",
-        "_busy_integral", "_last_change", "_bp_time", "_bp_integral", "_bp_busy",
-        "grants", "waits",
+        "_busy_integral", "_last_change", "_created", "grants", "waits",
     )
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
@@ -97,20 +117,10 @@ class Resource:
         #: for each of its slots).
         self.users: list = []
         self.queue: deque[Request] = deque()
-        # Utilisation accounting: integral of busy slots over time, plus
-        # breakpoints of the piecewise-constant busy count so windowed
-        # queries (``utilization(since=...)``) are exact.  From
-        # ``_bp_time[i]`` on the integral was ``_bp_integral[i]`` and grew
-        # by ``_bp_busy[i]`` per second.  Parallel arrays of C doubles and
-        # ints hold no Python object per breakpoint, so a long history
-        # costs 24 bytes a breakpoint and nothing for the collector to
-        # track or traverse.
-        now = sim.now
+        # Utilisation accounting: the integral of busy slots over time
+        # since creation, which is all ``utilization()`` reads.
         self._busy_integral = 0.0
-        self._last_change = now
-        self._bp_time = array("d", (now,))
-        self._bp_integral = array("d", (0.0,))
-        self._bp_busy = array("q", (0,))
+        self._last_change = self._created = sim.now
         #: Slots granted (immediately or after queueing).
         self.grants = 0
         #: Slots that found the resource busy and had to queue.
@@ -119,48 +129,25 @@ class Resource:
             sim._profiled_resources.append(self)
 
     # -- accounting ------------------------------------------------------
-    def _account(self) -> None:
-        """Bring the busy integral up to now (for a query; no breakpoint)."""
-        now = self.sim.now
-        if now != self._last_change:
-            self._busy_integral += len(self.users) * (now - self._last_change)
-            self._last_change = now
-
     def _changed(self, busy: int) -> None:
-        """Account a change of the busy count from *busy* to ``len(users)``.
+        """Integrate *busy* slots up to now.
 
-        One step: integrate *busy* up to now and record the new count as
-        a breakpoint.  A later change at the same time overwrites that
-        breakpoint's count; the integral at it cannot have moved.
+        Claims, releases and cancels call it with the busy count from
+        before their change; a query calls it with the current count.
         """
         now = self.sim.now
         last = self._last_change
         if now != last:
             self._busy_integral += busy * (now - last)
             self._last_change = now
-        elif self._bp_time[-1] == now:
-            self._bp_busy[-1] = len(self.users)
-            return
-        self._bp_time.append(now)
-        self._bp_integral.append(self._busy_integral)
-        self._bp_busy.append(len(self.users))
-
-    def _integral_at(self, t: float) -> float:
-        """Busy-slot integral accumulated up to time *t* (t <= now)."""
-        times = self._bp_time
-        if t <= times[0]:
-            return 0.0
-        i = bisect_right(times, t) - 1
-        return self._bp_integral[i] + self._bp_busy[i] * (t - times[i])
 
     def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of slots busy over [since, now]."""
-        self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return (self._busy_integral - self._integral_at(since)) / (
-            elapsed * self.capacity
+        """Mean fraction of slots busy over [since, now], for *since* at
+        or before the resource's creation (see :func:`window_utilization`)."""
+        self._changed(len(self.users))
+        return window_utilization(
+            self._busy_integral, self.capacity, self._created, since,
+            self.sim.now, self.name,
         )
 
     @property
@@ -419,24 +406,25 @@ class Store:
 
 
 class Channel(Store):
-    """A :class:`Store` with predicate-matched gets.
+    """A :class:`Store` whose gets can wait for one key or a predicate.
 
-    ``get(match=...)`` returns the oldest item satisfying the predicate,
-    searching the buffered items first and otherwise parking the getter
-    until a matching item is put.  This is exactly the semantics an MPI
-    receive needs against the unexpected-message queue.
+    ``get(key=...)`` returns the oldest item whose :attr:`key_of` value
+    equals the key; ``get(match=...)`` the oldest item a predicate
+    accepts.  Both search the buffered items first and otherwise park
+    the getter until a matching item is put: exactly the semantics an
+    MPI receive needs against the unexpected-message queue.
+
+    One rule keeps the two from disagreeing: :attr:`key_of` defines an
+    item's identity (the MPI layer installs
+    :func:`repro.mpi.pt2pt.packet_key`, a packet's envelope), a getter
+    that names one item waits on its key, and predicates serve only
+    wildcards, which no single key can name.
 
     **Waiter indexing.**  ``put()`` must find the oldest-posted matching
-    getter.  A naive scan over all parked predicates is O(waiters) per
-    put — hot once many receives are posted.  When the channel has a
-    :attr:`key_of` function (item -> hashable key) and a predicate
-    advertises an ``exact_key`` attribute (the single key it accepts,
-    see :func:`repro.mpi.pt2pt.make_match`), the getter is parked in a
-    per-key bucket and served by one dict lookup.  Predicates without a
-    key (wildcard receives) fall back to a FIFO scan; posting order
+    getter.  A keyed getter is parked in a per-key bucket and served by
+    one dict lookup; predicate getters are scanned FIFO.  Posting order
     across both structures is preserved via a monotone sequence number,
-    so matching semantics — and simulated results — are bit-identical
-    to the linear scan.
+    so the oldest-posted match wins whichever structure holds it.
     """
 
     __slots__ = ("_matched_getters", "_keyed_getters", "_match_seq", "key_of")
@@ -449,25 +437,25 @@ class Channel(Store):
         key_of: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         super().__init__(sim, capacity, name)
-        #: Wildcard getters, FIFO by posting seq: (seq, Event, predicate).
+        #: Predicate getters, FIFO by posting seq: (seq, Event, predicate).
         self._matched_getters: deque[tuple[int, Event, Callable[[Any], bool]]] = (
             deque()
         )
-        #: Exact-key getters: key -> FIFO deque of (seq, Event).
+        #: Keyed getters: key -> FIFO deque of (seq, Event).
         self._keyed_getters: dict[Any, deque[tuple[int, Event]]] = {}
         self._match_seq = 0
-        #: Optional item -> key function enabling the keyed index.  May
-        #: also be assigned after construction (the MPI layer does).
+        #: Item -> hashable key, needed by ``get(key=...)``.  May also be
+        #: assigned after construction (the MPI layer does).
         self.key_of = key_of
 
     def _match(self, item: Any) -> bool:
         # Matched getters have priority over FIFO getters so that a
         # selective receive posted earlier is not starved.  Among the
         # matched getters the oldest-posted match wins (MPI posting
-        # order): compare the keyed-bucket head against the wildcard
+        # order): compare the keyed-bucket head against the predicate
         # scan by sequence number.
         bucket = None
-        if self._keyed_getters and self.key_of is not None:
+        if self._keyed_getters:
             key = self.key_of(item)
             bucket = self._keyed_getters.get(key)
         getter = None
@@ -495,27 +483,37 @@ class Channel(Store):
             return False
         return True
 
-    def get(self, match: Optional[Callable[[Any], bool]] = None) -> Event:
-        if match is None:
-            return super().get()
+    def get(
+        self, match: Optional[Callable[[Any], bool]] = None, key: Any = None
+    ) -> Event:
+        """Remove the oldest item whose ``key_of`` is *key*, or that
+        *match* accepts (the oldest item if neither is given); the
+        returned event fires with it."""
+        key_of = self.key_of
+        if key is None:
+            if match is None:
+                return super().get()
+        elif key_of is None:
+            raise SimulationError(f"get(key=...) on {self.name!r}, which has no key_of")
+        elif match is not None:
+            raise SimulationError("get() takes a key or a match predicate, not both")
         ev = Event(self.sim, name=self._get_name)
         for i, item in enumerate(self.items):
-            if match(item):
+            if match(item) if key is None else key_of(item) == key:
                 del self.items[i]
                 ev.succeed(item)
                 self._admit_putter()
                 return ev
         self._match_seq += 1
         seq = self._match_seq
-        key = getattr(match, "exact_key", None)
-        if key is not None and self.key_of is not None:
-            entry = (seq, ev)
-            self._keyed_getters.setdefault(key, deque()).append(entry)
-            ev._abandon = lambda: self._discard_keyed(key, entry)
-        else:
+        if key is None:
             entry = (seq, ev, match)
             self._matched_getters.append(entry)
             ev._abandon = lambda: self._discard_matched(entry)
+        else:
+            entry = (seq, ev)
+            self._keyed_getters.setdefault(key, deque()).append(entry)
+            ev._abandon = lambda: self._discard_keyed(key, entry)
         return ev
 
     def _discard_matched(self, entry) -> None:

@@ -4,8 +4,8 @@
 request must behave exactly like the per-core loop it replaced, which
 claimed ``n_cores`` single-slot requests and waited for each in turn:
 the same kernels start and end at the same times, in the same order,
-with the same core utilization and the same grant and wait counts.
-That loop is kept below as the reference.
+with the same busy cores and busy integral at every change time and the
+same grant and wait counts.  That loop is kept below as the reference.
 """
 
 import random
@@ -14,7 +14,22 @@ import pytest
 
 from repro.hardware import Processor
 from repro.hardware.catalog import XEON_E5_2680
-from repro.simkernel import Simulator
+from repro.simkernel import Resource, Simulator
+
+
+class LoggedCores(Resource):
+    """A core pool that logs (time, busy cores, busy integral) at every
+    change of its busy count."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.log: list[tuple[float, int, float]] = []
+
+    def _changed(self, busy: int) -> None:
+        super()._changed(busy)
+        self.log.append((self.sim.now, len(self.users), self._busy_integral))
 
 
 def per_core_execute(chip: Processor, flops: float, n_cores: int):
@@ -64,6 +79,7 @@ def run(execute, plan, kill=None):
     """
     sim = Simulator()
     chip = Processor(sim, XEON_E5_2680)
+    chip.cores = LoggedCores(sim, chip.spec.n_cores, chip.cores.name)
     ends = []
 
     def kernel(i, arrival, flops, n_cores):
@@ -81,11 +97,13 @@ def run(execute, plan, kill=None):
 
         sim.process(killer())
     end = sim.run()
-    windows = [0.0, 0.01, 0.02, 0.05, end / 3, end / 2, 0.9 * end]
     return {
         "ends": ends,
         "end": end,
-        "utilization": [chip.cores.utilization(since=t) for t in windows],
+        # The last entry at each change time: the per-core loop changes
+        # the count once per core where a wide claim changes it once.
+        "busy": {t: (busy, integral) for t, busy, integral in chip.cores.log},
+        "utilization": chip.cores.utilization(),
         "lock": (chip._alloc_lock.grants, chip._alloc_lock.waits),
         "cores_held": chip.cores.count,
         "queued": len(chip.cores.queue),
@@ -103,6 +121,7 @@ def test_n_slot_claim_matches_per_core_loop(seed):
     assert new["waits"] > 0  # the plan does contend
     assert new["ends"] == ref["ends"]  # times *and* completion order
     assert new["end"] == ref["end"]
+    assert list(new["busy"].items()) == list(ref["busy"].items())
     assert new["utilization"] == ref["utilization"]
     assert (new["grants"], new["waits"]) == (ref["grants"], ref["waits"])
     assert new["lock"] == ref["lock"]
@@ -123,6 +142,7 @@ def test_killed_partial_claim_returns_every_slot():
     new = run(n_slot_execute, plan, kill)
     assert [i for i, _ in new["ends"]] == [2, 0, 3]
     assert new["ends"] == ref["ends"]
+    assert list(new["busy"].items()) == list(ref["busy"].items())
     assert new["utilization"] == ref["utilization"]
     assert new["cores_held"] == 0 and new["queued"] == 0
 

@@ -9,6 +9,7 @@ kernel baseline; here we only sanity-bound the *enabled* overhead.
 """
 
 import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,22 @@ class TestDeterminismAndPerturbation:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "deterministic (observability on)" in proc.stdout
+        assert "pinned digests match" in proc.stdout
+
+    def test_check_determinism_script_fails_when_results_move(
+        self, monkeypatch, capsys
+    ):
+        """Two runs that agree with each other but not with the pinned
+        digest fail, and the message names the constant to update."""
+        path = REPO_ROOT / "scripts" / "check_determinism.py"
+        spec = importlib.util.spec_from_file_location("check_determinism", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "SCENARIO_DIGEST_OBSERVED", "0" * 64)
+        assert script.main([]) == 1
+        out = capsys.readouterr().out
+        assert "SIMULATED RESULTS MOVED" in out
+        assert "update SCENARIO_DIGEST_OBSERVED in" in out
 
     def test_tracing_does_not_perturb_simulated_results(self):
         traced, traced_result = run_offload(observe=True)

@@ -273,9 +273,36 @@ def test_eager_threshold_boundary():
     assert out["rndv_done"] > 0.4  # waited for the CTS
 
 
+def test_named_receives_wait_on_their_packet_key():
+    """A receive that names its source and tag parks on the packet_key
+    of the envelope it names; only a wildcard receive parks a predicate."""
+    h = WorldHarness(2)
+    parked = {}
+
+    def main(proc):
+        cw = proc.comm_world
+        if cw.rank == 1:
+            exact = cw.irecv(0, tag=3)
+            wild = cw.irecv(ANY_SOURCE, tag=4)
+            yield from proc.elapse(0.5)
+            parked["keys"] = list(proc._inbox._keyed_getters)
+            parked["predicates"] = len(proc._inbox._matched_getters)
+            parked["want"] = ("env", proc.gpid, cw.context_id, cw.remote_gpid(0), 3)
+            yield from exact.wait()
+            yield from wild.wait()
+        else:
+            yield from proc.elapse(1.0)
+            yield from cw.send(1, 16, tag=4)
+            yield from cw.send(1, 16, tag=3)
+
+    h.run(main)
+    assert parked["keys"] == [parked["want"]]
+    assert parked["predicates"] == 1
+
+
 def test_receive_predicates_are_freed_with_their_job(monkeypatch):
-    """Envelope predicates are memoized per rank, not process-wide: a
-    long run of jobs must not keep every job's predicates alive."""
+    """A wildcard receive, the one receive that still builds a
+    predicate, must not keep it alive past its job."""
     from repro.mpi import world as world_module
 
     made = []
@@ -293,7 +320,7 @@ def test_receive_predicates_are_freed_with_their_job(monkeypatch):
         if cw.rank == 0:
             yield from cw.send(1, 128, tag=3)
         else:
-            yield from cw.recv(0, tag=3)
+            yield from cw.recv(ANY_SOURCE, tag=3)
 
     WorldHarness(n=2).run(main)
     assert made

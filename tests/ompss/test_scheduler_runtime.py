@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TaskError
+from repro.errors import SimulationError, TaskError
 from repro.hardware import CoreSpec, MemorySpec, Processor, ProcessorSpec
 from repro.ompss import (
     CoreBank,
@@ -75,6 +75,46 @@ def test_corebank_validation(sim):
     bank.release(0)
     with pytest.raises(TaskError):
         bank.release(5)
+
+
+def test_corebank_refused_release_leaves_the_bank_unchanged(sim):
+    """An over-release used to add its slots before refusing, leaving
+    more free slots than the bank has."""
+    bank = CoreBank(sim, 2)
+    with pytest.raises(TaskError):
+        bank.release(1)
+    assert bank.free == 2
+    granted = []
+
+    def taker(sim, tag):
+        yield bank.acquire(2)
+        granted.append((tag, sim.now))
+        yield sim.timeout(1.0)
+        bank.release(2)
+
+    sim.process(taker(sim, "a"))
+    sim.process(taker(sim, "b"))
+    sim.run()
+    assert granted == [("a", 0.0), ("b", 1.0)]  # never both at once
+
+
+def test_corebank_utilization_refuses_windows_after_creation(sim):
+    """One slot busy over [0, 4] s, idle to 10 s: the window from 5 s
+    used to read 0.8 (the whole integral over a 5 s window)."""
+    bank = CoreBank(sim, 1)
+
+    def worker(sim):
+        yield bank.acquire(1)
+        yield sim.timeout(4.0)
+        bank.release(1)
+        yield sim.timeout(6.0)
+
+    sim.process(worker(sim))
+    sim.run()
+    assert bank.utilization() == pytest.approx(0.4)
+    assert bank.utilization(since=0.0) == pytest.approx(0.4)
+    with pytest.raises(SimulationError):
+        bank.utilization(since=5.0)
 
 
 def test_corebank_head_blocks_small_later_requests(sim):

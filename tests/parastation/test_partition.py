@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError, ConfigurationError, SimulationError
 from repro.hardware.catalog import booster_node_spec
 from repro.hardware.node import BoosterNode
 from repro.parastation import NodeState, Partition, UsageLedger
@@ -86,6 +86,43 @@ def test_utilization_integral(sim):
     # 1 of 2 nodes for half the 20 s window -> 25%.
     assert p.utilization() == pytest.approx(0.25)
     assert p.allocated_node_seconds() == pytest.approx(10.0)
+
+
+def test_utilization_refuses_windows_after_creation(sim):
+    """One node busy over [0, 4] s, idle to 10 s: the window from 5 s
+    used to read 0.8 (the whole integral over a 5 s window)."""
+    p = make_partition(sim, n=1)
+
+    def workload(sim, p):
+        nodes = p.allocate(1)
+        yield sim.timeout(4.0)
+        p.release(nodes)
+        yield sim.timeout(6.0)
+
+    sim.process(workload(sim, p))
+    sim.run()
+    assert p.utilization() == pytest.approx(0.4)
+    with pytest.raises(SimulationError):
+        p.utilization(since=5.0)
+
+
+def test_utilization_of_a_later_partition_counts_from_before_creation(sim):
+    """Nothing was allocated before creation, so earlier windows are exact."""
+    made = []
+
+    def workload(sim):
+        yield sim.timeout(2.0)
+        p = make_partition(sim, n=2)
+        made.append(p)
+        nodes = p.allocate(2)
+        yield sim.timeout(4.0)
+        p.release(nodes)
+
+    sim.process(workload(sim))
+    sim.run()
+    p = made[0]
+    assert p.utilization(since=2.0) == pytest.approx(1.0)
+    assert p.utilization() == pytest.approx(8.0 / 12.0)
 
 
 def test_unknown_node_raises(sim):

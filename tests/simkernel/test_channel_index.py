@@ -1,26 +1,19 @@
 """The Channel keyed-waiter index: same semantics, dict-lookup serving.
 
 These tests pin the contract that makes the index safe: with a
-``key_of`` function installed and predicates advertising ``exact_key``,
-``put()`` must serve exactly the getter the old linear predicate scan
-would have — oldest-posted match first, across both the keyed buckets
-and the wildcard deque.
+``key_of`` function installed, a getter that waits on a key
+(``get(key=...)``) and a getter with a predicate must be served exactly
+as one linear scan over all getters would serve them: oldest-posted
+match first, across both the keyed buckets and the predicate deque.
 """
 
 from types import SimpleNamespace
 
-from repro.mpi.pt2pt import ANY_TAG, PacketHeader, make_match, make_seq_match, packet_key
+import pytest
+
+from repro.errors import SimulationError
+from repro.mpi.pt2pt import ANY_TAG, PacketHeader, make_match, packet_key
 from repro.simkernel import Channel
-
-
-def keyed_match(key):
-    """An exact-key predicate the way the MPI layer builds them."""
-
-    def pred(item):
-        return item == key
-
-    pred.exact_key = key
-    return pred
 
 
 def test_keyed_getter_served_by_index(sim):
@@ -28,7 +21,7 @@ def test_keyed_getter_served_by_index(sim):
     got = []
 
     def consumer(sim, ch):
-        item = yield ch.get(match=keyed_match("a"))
+        item = yield ch.get(key="a")
         got.append((item, sim.now))
 
     def producer(sim, ch):
@@ -55,7 +48,7 @@ def test_posting_order_between_keyed_and_wildcard(sim):
         order.append((tag, item))
 
     def keyed(sim, ch, tag):
-        item = yield ch.get(match=keyed_match("k"))
+        item = yield ch.get(key="k")
         order.append((tag, item))
 
     def scenario(sim, ch):
@@ -82,7 +75,7 @@ def test_keyed_older_than_wildcard_wins(sim):
     order = []
 
     def keyed(sim, ch):
-        item = yield ch.get(match=keyed_match("k"))
+        item = yield ch.get(key="k")
         order.append(("keyed", item))
 
     def wildcard(sim, ch):
@@ -107,11 +100,11 @@ def test_killed_keyed_getter_does_not_consume(sim):
     got = []
 
     def doomed(sim, ch):
-        yield ch.get(match=keyed_match("k"))
+        yield ch.get(key="k")
         got.append("doomed")  # pragma: no cover - must never run
 
     def survivor(sim, ch):
-        item = yield ch.get(match=keyed_match("k"))
+        item = yield ch.get(key="k")
         got.append(("survivor", item))
 
     def scenario(sim, ch):
@@ -128,28 +121,34 @@ def test_killed_keyed_getter_does_not_consume(sim):
     assert got == [("survivor", "k")]
 
 
-def test_without_key_of_exact_key_preds_still_work(sim):
-    """No key_of installed -> exact-key predicates use the scan path."""
+def test_keyed_get_without_key_of_raises(sim):
+    """Nothing could serve a keyed getter on a channel without key_of,
+    so the get is refused instead of parked."""
     ch = Channel(sim)  # key_of is None
-    got = []
+    ch.put("k")
+    with pytest.raises(SimulationError):
+        ch.get(key="k")
+    assert ch._keyed_getters == {} and list(ch.items) == ["k"]
 
-    def consumer(sim, ch):
-        item = yield ch.get(match=keyed_match("k"))
-        got.append(item)
 
-    def producer(sim, ch):
-        yield sim.timeout(1.0)
-        ch.put("k")
+def test_get_takes_a_key_or_a_predicate_not_both(sim):
+    ch = Channel(sim, key_of=lambda item: item)
+    with pytest.raises(SimulationError):
+        ch.get(match=lambda x: True, key="k")
 
-    sim.process(consumer(sim, ch))
-    sim.process(producer(sim, ch))
-    sim.run()
-    assert got == ["k"]
-    assert ch._keyed_getters == {}
+
+def test_keyed_get_takes_the_oldest_buffered_item_with_its_key(sim):
+    ch = Channel(sim, key_of=lambda item: item[0])
+    for item in (("a", 1), ("b", 2), ("a", 3)):
+        ch.put(item)
+    got = ch.get(key="a")
+    assert got.triggered and got.value == ("a", 1)
+    assert list(ch.items) == [("b", 2), ("a", 3)]
 
 
 # ---------------------------------------------------------------------------
-# The MPI-layer contract: pred(msg) is true iff exact_key == packet_key(msg)
+# The MPI-layer contract: packet_key defines a packet's envelope, and a
+# named-source, named-tag predicate accepts exactly that envelope
 # ---------------------------------------------------------------------------
 
 
@@ -161,39 +160,45 @@ def envelope(kind="eager", ctx=1, src=3, dst=7, tag=9, seq=0):
 
 
 def test_make_match_exact_key_agrees_with_packet_key():
+    """``probe`` builds this predicate where ``recv`` waits on the key
+    ("env", dst, ctx, src, tag); they must accept the same packets."""
     pred = make_match(7, 1, 3, 9)
+    key = ("env", 7, 1, 3, 9)
     msg = envelope()
-    assert pred.exact_key == packet_key(msg)
+    assert packet_key(msg) == key
     assert pred(msg)
+    assert pred(envelope(kind="rts"))
     for other in (
         envelope(dst=8), envelope(ctx=2), envelope(src=4),
-        envelope(tag=10), envelope(kind="cts"),
+        envelope(tag=10), envelope(kind="cts"), envelope(kind="data"),
     ):
-        assert pred(other) == (pred.exact_key == packet_key(other))
+        assert pred(other) == (packet_key(other) == key)
         assert not pred(other)
 
 
 def test_wildcard_matches_carry_no_exact_key():
-    assert not hasattr(make_match(7, 1, None, 9), "exact_key")
-    assert not hasattr(make_match(7, 1, 3, ANY_TAG), "exact_key")
-    # Wildcard predicates still match what they should.
+    """A wildcard names no single envelope, so it stays a predicate and
+    accepts every packet key its named fields allow."""
     any_src = make_match(7, 1, None, 9)
     assert any_src(envelope(src=3)) and any_src(envelope(src=99))
+    assert not any_src(envelope(tag=10)) and not any_src(envelope(kind="cts"))
+    any_tag = make_match(7, 1, 3, ANY_TAG)
+    assert any_tag(envelope(tag=0)) and any_tag(envelope(tag=10))
+    assert not any_tag(envelope(src=4))
 
 
-def test_make_seq_match_exact_key_agrees_with_packet_key():
-    pred = make_seq_match(7, "cts", 3, 42)
-    msg = envelope(kind="cts", seq=42)
-    assert pred.exact_key == packet_key(msg)
-    assert pred(msg)
-    for other in (
-        envelope(kind="cts", seq=43),
-        envelope(kind="data", seq=42),
-        envelope(kind="cts", seq=42, src=4),
-        envelope(kind="eager", seq=42),
-    ):
-        assert pred(other) == (pred.exact_key == packet_key(other))
-        assert not pred(other)
+def test_protocol_packets_key_on_kind_source_and_seq():
+    """The rendezvous CTS and data waits name ("seq", dst, kind, src, seq)."""
+    assert packet_key(envelope(kind="cts", seq=42)) == ("seq", 7, "cts", 3, 42)
+    keys = {
+        packet_key(m)
+        for m in (
+            envelope(kind="cts", seq=42), envelope(kind="cts", seq=43),
+            envelope(kind="data", seq=42), envelope(kind="cts", seq=42, src=4),
+            envelope(kind="eager", seq=42),
+        )
+    }
+    assert len(keys) == 5
 
 
 def test_packet_key_none_for_foreign_payloads():

@@ -382,7 +382,9 @@ def test_try_acquire_interoperates_with_requests(sim):
 
 def test_utilization_windowed_does_not_exceed_one(sim):
     """Regression: utilization(since > 0) used the full-history integral,
-    overstating (even above 1.0) when the resource was busy early."""
+    overstating (even above 1.0) when the resource was busy early.  Only
+    the busy integral is kept now, so a window that starts after
+    creation is refused rather than answered from the whole run."""
     res = Resource(sim, capacity=1)
 
     def worker(sim, res):
@@ -396,16 +398,15 @@ def test_utilization_windowed_does_not_exceed_one(sim):
     sim.run()
     assert sim.now == 10.0
     assert res.utilization() == pytest.approx(0.4)
-    # Window [2, 10]: busy 2 of 8 seconds.
-    assert res.utilization(since=2.0) == pytest.approx(0.25)
-    # Window [5, 10]: fully idle.
-    assert res.utilization(since=5.0) == 0.0
-    # Window [3.9999, 10] must stay within [0, 1].
-    assert 0.0 <= res.utilization(since=3.9999) <= 1.0
+    for since in (2.0, 3.9999, 5.0):
+        with pytest.raises(SimulationError):
+            res.utilization(since=since)
+    assert res.utilization() == pytest.approx(0.4)  # a refusal changes nothing
 
 
 def test_utilization_windowed_mid_busy(sim):
-    res = Resource(sim, capacity=2)
+    """A resource created mid-run: windows from its creation or earlier
+    are exact, a window from mid-busy is refused."""
 
     def worker(sim, res, hold):
         req = res.request()
@@ -413,13 +414,23 @@ def test_utilization_windowed_mid_busy(sim):
         yield sim.timeout(hold)
         res.release(req)
 
-    sim.process(worker(sim, res, 10.0))
-    sim.process(worker(sim, res, 4.0))
+    def scenario(sim):
+        yield sim.timeout(2.0)
+        res = Resource(sim, capacity=2)
+        sim.process(worker(sim, res, 10.0))
+        sim.process(worker(sim, res, 4.0))
+        return res
+
+    res = sim.process(scenario(sim))
     sim.run()
-    # [0,4]: 2 busy; [4,10]: 1 busy.  Window [4,10] -> 6/(6*2) = 0.5.
-    assert res.utilization(since=4.0) == pytest.approx(0.5)
-    # Window [2,10]: integral = 2*2 + 6*1 = 10 over 8s*2cap = 0.625.
-    assert res.utilization(since=2.0) == pytest.approx((2 * 2 + 6 * 1) / (8 * 2))
+    res = res.value
+    assert sim.now == 12.0
+    # [2,6]: 2 busy; [6,12]: 1 busy.  From creation: 14 / (10 * 2).
+    assert res.utilization(since=2.0) == pytest.approx(14 / 20)
+    # Nothing was busy before creation: [0,12] -> 14 / (12 * 2).
+    assert res.utilization() == pytest.approx(14 / 24)
+    with pytest.raises(SimulationError):
+        res.utilization(since=6.0)
 
 
 def test_utilization_future_window_is_zero(sim):
@@ -541,13 +552,11 @@ class ClaimModel:
                     self.queue.pop(0)
         del self.need[cid]
 
-    def utilization(self, since: int, now: int) -> float:
+    def utilization(self, now: int) -> float:
         total = 0
         for (t0, busy), (t1, _) in zip(self.log, self.log[1:] + [(now, 0)]):
-            lo, hi = max(t0, since), min(t1, now)
-            if hi > lo:
-                total += busy * (hi - lo)
-        return total / ((now - since) * self.capacity) if now > since else 0.0
+            total += busy * (t1 - t0)
+        return total / (now * self.capacity) if now else 0.0
 
 
 _claim_ops = st.lists(
@@ -566,7 +575,8 @@ _claim_ops = st.lists(
 def test_claim_accounting_matches_integrated_busy_log(kind, capacity, ops):
     """Random interleavings of immediate, queued, released and
     cancelled claims at advancing times.  Integer times keep every
-    integral exact, so utilization must equal the model's bit for bit."""
+    integral exact, so utilization must equal the model's bit for bit
+    after every change of the busy count."""
     sim = Simulator()
     res = kind(sim, capacity=capacity)
     model = ClaimModel(capacity)
@@ -598,18 +608,17 @@ def test_claim_accounting_matches_integrated_busy_log(kind, capacity, ops):
                 res.cancel(handles.pop(cid))
                 model.give_back(cid)
             elif op == "query":
-                assert res.utilization() == model.utilization(0, sim.now)
+                assert res.utilization() == model.utilization(sim.now)
                 continue
             else:
                 continue
             model.log.append((sim.now, model.busy))
             assert res.count == model.busy
+            assert res.utilization() == model.utilization(sim.now)
             for cid, handle in handles.items():
                 assert handle.triggered == (not model.need[cid])
 
     sim.process(driver())
     sim.run()
     assert (res.grants, res.waits) == (model.grants, model.waits)
-    for since, _ in model.log:
-        assert res.utilization(since) == model.utilization(since, sim.now)
 
