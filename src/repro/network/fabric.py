@@ -319,12 +319,12 @@ class Fabric:
         serialization = size_bytes / bottleneck
 
         # Reserve the chosen path so concurrent adaptive picks see it.
-        tr = self.sim.trace
-        for link in links:
-            link.pending_flows += 1
-        if tr.enabled:
-            for link in links:
-                tr.record_counter("link.flows:" + link.name, link.pending_flows)
+        # Only those picks and the traced counters read the count, so
+        # it is kept only for them; decided once, so every raise below
+        # has its lower.
+        count_flows = self.adaptive or self.sim.trace.enabled
+        if count_flows:
+            self._add_flows(links, 1)
         try:
             if self.mtu_bytes is not None and size_bytes > self.mtu_bytes:
                 yield from self._transfer_segmented(links, size_bytes)
@@ -363,11 +363,17 @@ class Fabric:
             yield self.sim.timeout(latency)
             return self._record(src, dst, size_bytes, start, len(links), kind)
         finally:
-            for link in links:
-                link.pending_flows -= 1
+            if count_flows:
+                self._add_flows(links, -1)
+
+    def _add_flows(self, links: list[Link], delta: int) -> None:
+        """Move ``pending_flows`` of every link on a path by *delta*
+        (and record it as ``link.flows:<link>`` while tracing)."""
+        tr = self.sim.trace
+        for link in links:
+            link.pending_flows += delta
             if tr.enabled:
-                for link in links:
-                    tr.record_counter("link.flows:" + link.name, link.pending_flows)
+                tr.record_counter("link.flows:" + link.name, link.pending_flows)
 
     def _transfer_segmented(self, links: list[Link], size_bytes: int):
         """Store-and-forward MTU segments pipelining across the path.

@@ -82,7 +82,8 @@ class Link:
         self.transfers = 0
         #: Transfers routed over this link and not yet finished —
         #: the load signal adaptive routing reads (a transfer reserves
-        #: its whole path the moment it picks a route).
+        #: its whole path the moment it picks a route).  Counted only
+        #: on adaptive fabrics and while tracing (``link.flows:*``).
         self.pending_flows = 0
         #: False once the cable is failed (fabric-level rerouting
         #: avoids down links; see Fabric.fail_link).

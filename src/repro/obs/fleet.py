@@ -35,7 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from repro.fsutil import append_line, atomic_write_json, ensure_parent
 
@@ -150,21 +150,33 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunManifest":
-        return cls(
-            run_id=str(doc["run_id"]),
-            source=str(doc.get("source", "sweep")),
-            experiment=str(doc["experiment"]),
-            config=dict(doc.get("config") or {}),
-            seed=doc.get("seed"),
-            code_version=str(doc.get("code_version", "")),
-            makespan_s=doc.get("makespan_s"),
-            metrics=dict(doc.get("metrics") or {}),
-            blame_s=dict(doc.get("blame_s") or {}),
-            blame_fractions=dict(doc.get("blame_fractions") or {}),
-            partial=bool(doc.get("partial", False)),
-            status=str(doc.get("status", "ok")),
-            schema=int(doc.get("schema", MANIFEST_SCHEMA)),
-        )
+        return cls(**_manifest_fields(doc))
+
+
+def _manifest_fields(doc: Mapping[str, Any]) -> dict[str, Any]:
+    """The :class:`RunManifest` fields of one parsed record.
+
+    The one place an index line's skip rules live: for a record that
+    :meth:`FleetIndex.load` and :meth:`FleetIndex.run_ids` skip, this
+    raises ``ValueError``, ``KeyError``, ``TypeError`` or, for a
+    ``schema`` of ``1e999``, ``OverflowError``.  ``doc["run_id"]`` comes
+    first, so a document that is not an object raises ``TypeError``.
+    """
+    return {
+        "run_id": str(doc["run_id"]),
+        "source": str(doc.get("source", "sweep")),
+        "experiment": str(doc["experiment"]),
+        "config": dict(doc.get("config") or {}),
+        "seed": doc.get("seed"),
+        "code_version": str(doc.get("code_version", "")),
+        "makespan_s": doc.get("makespan_s"),
+        "metrics": dict(doc.get("metrics") or {}),
+        "blame_s": dict(doc.get("blame_s") or {}),
+        "blame_fractions": dict(doc.get("blame_fractions") or {}),
+        "partial": bool(doc.get("partial", False)),
+        "status": str(doc.get("status", "ok")),
+        "schema": int(doc.get("schema", MANIFEST_SCHEMA)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -421,32 +433,35 @@ class FleetIndex:
     def exists(self) -> bool:
         return self.path.exists()
 
-    def load(self) -> list[RunManifest]:
-        """All readable manifests, deduplicated by ``run_id`` (first
-        record wins; duplicates are identical by construction).  Torn
-        or foreign lines are skipped, never fatal."""
+    def _records(self) -> Iterator[dict[str, Any]]:
+        """The manifest fields of every readable record, first record
+        per ``run_id`` (duplicates are identical by construction).
+        Torn or foreign lines are skipped, never fatal."""
         if not self.path.exists():
-            return []
+            return
         seen: set[str] = set()
-        out: list[RunManifest] = []
         with open(self.path, "r") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    doc = json.loads(line)
-                    manifest = RunManifest.from_dict(doc)
-                except (ValueError, KeyError, TypeError):
+                    fields = _manifest_fields(json.loads(line))
+                except (ValueError, KeyError, TypeError, OverflowError):
                     continue
-                if manifest.run_id in seen:
+                if fields["run_id"] in seen:
                     continue
-                seen.add(manifest.run_id)
-                out.append(manifest)
-        return out
+                seen.add(fields["run_id"])
+                yield fields
+
+    def load(self) -> list[RunManifest]:
+        """All readable manifests, deduplicated by ``run_id``."""
+        return [RunManifest(**fields) for fields in self._records()]
 
     def run_ids(self) -> set[str]:
-        return {m.run_id for m in self.load()}
+        """The ``run_id`` of every manifest :meth:`load` returns,
+        without building the manifests."""
+        return {fields["run_id"] for fields in self._records()}
 
     def append(self, manifest: RunManifest) -> None:
         """Append one manifest record (single atomic line write)."""

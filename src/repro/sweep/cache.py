@@ -40,6 +40,10 @@ CACHE_FORMAT = "v1"
 #: field and are the current format.
 CACHE_SCHEMA = 1
 
+#: Bytes asked of each ``os.read`` of an entry: most entries arrive in
+#: one read, and the next read returns end of file.
+_READ_CHUNK = 1 << 16
+
 
 class ResultCache:
     """A content-addressed store of sweep-job results."""
@@ -82,14 +86,23 @@ class ResultCache:
         A corrupt entry (interrupted legacy write, manual tampering) is
         treated as a miss — the job simply re-runs and overwrites it.
         """
+        # Bare system calls: a buffered file object costs a hit more
+        # than the read itself.
         try:
-            with open(self._result_file(digest), "rb") as fh:
-                data = fh.read()
+            fd = os.open(self._result_file(digest), os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except OSError:
+            # Absent, or not a readable file (``os.open`` succeeds on
+            # a directory, ``os.read`` does not): a plain miss.
             self.misses += 1
             return None
         try:
-            doc = json.loads(data)
+            doc = json.loads(b"".join(chunks))
             payload, meta = doc["payload"], doc.get("meta", {})
             schema = doc.get("schema", CACHE_SCHEMA)
         except (ValueError, KeyError, TypeError):

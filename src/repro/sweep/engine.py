@@ -936,7 +936,8 @@ def run_smoke(
 
     Runs 2 experiments x 2 seeds twice against one cache: the cold pass
     simulates everything, the warm pass must be served >= 95% from the
-    cache with a bit-identical sweep digest.
+    cache with a bit-identical sweep digest and leave the run index as
+    the cold pass wrote it.
 
     With *telemetry_dir* each pass streams a harness-telemetry channel
     (``cold.telemetry.jsonl`` / ``warm.telemetry.jsonl``) and the smoke
@@ -960,6 +961,8 @@ def run_smoke(
         t0 = time.perf_counter()
         cold = run_sweep(spec, jobs=jobs, cache=cache, telemetry=channels.get("cold"))
         t_cold = time.perf_counter() - t0
+        index = FleetIndex.at_cache_root(root).path
+        cold_bytes = index.stat().st_size
         t0 = time.perf_counter()
         warm = run_sweep(spec, jobs=jobs, cache=cache, telemetry=channels.get("warm"))
         t_warm = time.perf_counter() - t0
@@ -977,6 +980,15 @@ def run_smoke(
             echo(
                 f"SMOKE FAILED: warm pass only {frac:.0%} cache-served "
                 f"(need >= 95%)"
+            )
+            return 1
+        warm_bytes = index.stat().st_size
+        if warm_bytes != cold_bytes:
+            # Every warm job is already indexed: an append means the
+            # index read under-reported its ids.
+            echo(
+                f"SMOKE FAILED: warm pass changed the run index "
+                f"({cold_bytes} -> {warm_bytes} bytes)"
             )
             return 1
         if channels:

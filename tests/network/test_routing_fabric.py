@@ -17,6 +17,7 @@ from repro.network import (
     star_topology,
     torus_topology,
 )
+from repro.simkernel import Simulator
 
 from tests.conftest import drive, run_to_end
 
@@ -209,6 +210,48 @@ def test_analytic_mode_ignores_contention(sim):
     sim.run()
     ends = [r.end for r in recs]
     assert ends[0] == pytest.approx(ends[1])
+
+
+def shared_link_transfers(sim):
+    """n0->n3 and n1->n3 at t=0: both cross sw0->n3, the second waits."""
+    fabric, _ = make_star_fabric(sim)
+
+    def send(sim, src):
+        yield from fabric.transfer(src, "n3", 1_000_000)
+
+    sim.process(send(sim, "n0"))
+    sim.process(send(sim, "n1"))
+    return fabric
+
+
+def test_traced_flow_counters_of_a_shared_link():
+    sim = Simulator(seed=42, trace=True)
+    shared_link_transfers(sim)
+    sim.run()
+    flows = [c for c in sim.trace.counters if c[1].startswith("link.flows:")]
+    # Both raise sw0->n3 at t=0; each lowers its path after its 1 ms on
+    # the links plus 2 us of latency, the second after waiting out the
+    # first.
+    assert flows == [
+        (0.0, "link.flows:f:n0->sw0", 1),
+        (0.0, "link.flows:f:sw0->n3", 1),
+        (0.0, "link.flows:f:n1->sw0", 1),
+        (0.0, "link.flows:f:sw0->n3", 2),
+        (0.001002, "link.flows:f:n0->sw0", 0),
+        (0.001002, "link.flows:f:sw0->n3", 1),
+        (0.002002, "link.flows:f:n1->sw0", 0),
+        (0.002002, "link.flows:f:sw0->n3", 0),
+    ]
+
+
+def test_untraced_static_fabric_keeps_no_flow_count(sim):
+    # Only adaptive route picks and traced counters read the count.
+    fabric = shared_link_transfers(sim)
+    sim.run(until=5e-4)  # both transfers are in flight
+    assert fabric.links[("sw0", "n3")].channel.count == 1
+    assert all(l.pending_flows == 0 for l in fabric.links.values())
+    sim.run()
+    assert all(l.pending_flows == 0 for l in fabric.links.values())
 
 
 def test_attach_unknown_endpoint_rejected(sim):

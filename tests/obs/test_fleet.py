@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.fleet import (
     FLEET_INDEX_ENV,
@@ -34,6 +36,41 @@ def mk(run_id="r1", seed=0, experiment="exp", makespan=1.0, partial=False,
         blame_fractions=dict(blame_fractions or {"net": 0.6}),
         partial=partial,
     )
+
+
+_IDS = st.sampled_from(["a", "b", "c"])
+
+
+def _record(run_id, **fields):
+    return json.dumps({"run_id": run_id, "experiment": "exp", **fields})
+
+
+#: Index lines: manifests (duplicate ids included), blank lines, torn
+#: records and foreign JSON that ``load`` keeps or skips.
+INDEX_LINES = st.one_of(
+    st.builds(lambda rid, seed: mk(rid, seed=seed).line(),
+              _IDS, st.integers(0, 3)),
+    st.sampled_from(["", "   ", "\t"]),
+    st.builds(lambda rid, cut: mk(rid).line()[:cut],
+              _IDS, st.integers(1, 200)),
+    st.sampled_from(["[1, 2]", '"a"', "3", "null", "true", "{}"]),
+    st.builds(lambda rid: json.dumps({"run_id": rid}), _IDS),
+    st.just('{"experiment": "exp"}'),
+    st.builds(_record, st.integers(0, 3)),  # a number for a run id
+    st.builds(
+        lambda rid, key, value: _record(rid, **{key: value}),
+        _IDS,
+        st.sampled_from(["config", "metrics", "blame_s", "blame_fractions"]),
+        st.sampled_from([5, "abc", [1, 2], [[1, 2, 3]], [["k", 1]], True, 0]),
+    ),
+    st.builds(
+        lambda rid, schema: _record(rid, schema=schema),
+        _IDS,
+        st.sampled_from(
+            ["x", None, [], {}, 1.5, "2", True, float("inf"), float("nan")]
+        ),
+    ),
+)
 
 
 class TestScalarMetrics:
@@ -182,11 +219,24 @@ class TestFleetIndex:
             fh.write('{"torn": tru')  # crashed writer
             fh.write("\n")
             fh.write('{"not": "a manifest"}\n')
+            # int(1e999) raises OverflowError, not ValueError.
+            fh.write('{"run_id": "x", "experiment": "e", "schema": 1e999}\n')
         idx.append(mk("b", seed=1))
         assert [m.run_id for m in idx.load()] == ["a", "b"]
+        assert idx.run_ids() == {"a", "b"}
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert FleetIndex(tmp_path / "nope.jsonl").load() == []
+        assert FleetIndex(tmp_path / "nope.jsonl").run_ids() == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(INDEX_LINES, max_size=12), newline=st.booleans())
+    def test_run_ids_are_the_ids_load_keeps(self, tmp_path_factory, lines,
+                                            newline):
+        path = tmp_path_factory.mktemp("index") / "runs.jsonl"
+        path.write_text("\n".join(lines) + ("\n" if newline else ""))
+        idx = FleetIndex(path)
+        assert idx.run_ids() == {m.run_id for m in idx.load()}
 
     def test_digest_order_free(self, tmp_path):
         a, b = mk("a"), mk("b", seed=1)
@@ -251,6 +301,35 @@ class TestSweepIndexing:
                             obs_dir=tmp / "obs2")
         assert report2.n_cached == 2
         assert idx.digest() == before
+
+    def test_warm_hit_with_a_skipped_record_is_reindexed(self, small_sweep):
+        from repro.sweep.engine import run_sweep
+
+        cache, spec, report, tmp = small_sweep
+        idx = FleetIndex.at_cache_root(cache.root)
+        lines = idx.path.read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["schema"] = "x"  # a record load() skips
+        lines[0] = json.dumps(doc)
+        idx.path.write_text("\n".join(lines) + "\n")
+        assert idx.run_ids() == {json.loads(lines[1])["run_id"]}
+
+        report2 = run_sweep(spec, jobs=1, cache=cache, obs_dir=tmp / "obs2")
+        assert report2.n_cached == 2
+        after = idx.path.read_text().splitlines()
+        assert after[:2] == lines and len(after) == 3
+        assert json.loads(after[2])["run_id"] == doc["run_id"]
+        assert idx.digest() == idx.digest(FleetIndex.rebuild_from_cache(cache))
+
+    def test_warm_sweep_leaves_a_healthy_index_untouched(self, small_sweep):
+        from repro.sweep.engine import run_sweep
+
+        cache, spec, report, tmp = small_sweep
+        idx = FleetIndex.at_cache_root(cache.root)
+        before = idx.path.read_bytes()
+        report2 = run_sweep(spec, jobs=1, cache=cache, obs_dir=tmp / "obs2")
+        assert report2.n_cached == 2
+        assert idx.path.read_bytes() == before
 
     def test_sweep_worker_does_not_double_index(self, small_sweep, monkeypatch):
         # Even with REPRO_FLEET_INDEX pointing somewhere, jobs must not

@@ -1,6 +1,7 @@
 """The content-addressed result cache: atomicity, misses, artifacts."""
 
 import json
+import os
 
 import pytest
 
@@ -204,3 +205,37 @@ def test_sweep_reruns_entry_whose_payload_is_not_an_object(tmp_path):
     assert [r.cached for r in warm.results] == [False, True]
     assert warm.digest() == cold.digest()
     assert json.loads(path.read_text())["payload"] == cold.results[0].payload
+
+
+def test_entry_larger_than_one_read_round_trips(cache):
+    from repro.sweep.cache import _READ_CHUNK
+
+    payload = {"metrics": {"t": 1.0}, "blob": "x" * (200 << 10)}
+    cache.put(DIGEST, payload)
+    assert (cache.entry_dir(DIGEST) / "result.json").stat().st_size > (
+        2 * _READ_CHUNK
+    )
+    assert ResultCache(cache.root).get(DIGEST)[0] == payload
+
+
+def test_result_path_that_is_a_directory_is_a_plain_miss(cache):
+    (cache.entry_dir(DIGEST) / "result.json").mkdir(parents=True)
+    assert cache.get(DIGEST) is None
+    assert cache.misses == 1 and cache.corrupt == 0
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_reads_leave_no_open_descriptors(cache):
+    digests = [f"{i:02x}" + "0" * 62 for i in range(5)]
+    cache.put(digests[0], {"metrics": {}})
+    cache.put(digests[1], {"metrics": {}})
+    (cache.entry_dir(digests[1]) / "result.json").write_text("{ torn")
+    cache.put(digests[2], {"metrics": {}, "blob": "y" * (100 << 10)})
+    (cache.entry_dir(digests[3]) / "result.json").mkdir(parents=True)
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(200):
+        cache.get(digests[i % 5])
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert (cache.hits, cache.misses, cache.corrupt) == (80, 120, 40)

@@ -273,6 +273,21 @@ def test_run_smoke_with_telemetry_dir(tmp_path, capsys):
     assert warm["cache"]["hit_rate"] == 1.0
 
 
+def test_run_smoke_fails_when_the_warm_pass_appends_to_the_index(
+    tmp_path, monkeypatch
+):
+    # An index read that under-reports its ids makes every warm hit
+    # append its manifest again.
+    from repro.obs.fleet import FleetIndex
+    from repro.sweep.engine import run_smoke
+
+    monkeypatch.setattr(FleetIndex, "run_ids", lambda self: set())
+    lines = []
+    code = run_smoke(jobs=1, cache_root=tmp_path / "cache", echo=lines.append)
+    assert code == 1
+    assert lines[-1].startswith("SMOKE FAILED: warm pass changed the run index")
+
+
 # ---------------------------------------------------------------------------
 # Pooled sweeps: submission and worker lifetime (slow: real process pools)
 # ---------------------------------------------------------------------------
