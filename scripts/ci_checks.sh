@@ -27,6 +27,21 @@ trap 'rm -rf "$FLEET_TMP" "$TELE_TMP"' EXIT
 echo "== sweep smoke (cold + warm, cache-served, telemetry totals) =="
 python -m repro sweep --smoke --telemetry "$TELE_TMP"
 
+echo "== raising sweep: its channel ends, obs top --follow returns [ABORTED] =="
+if python -m repro sweep -e collective_scale -s 0,1 -j 1 --no-cache --quiet \
+    --set collective_scale.ranks=0 \
+    --telemetry "$TELE_TMP/raising.telemetry.jsonl" > /dev/null 2>&1; then
+  echo "raising-sweep check FAILED: a sweep of ranks=0 exited 0"
+  exit 1
+fi
+timeout 60 python -m repro obs top --follow \
+    "$TELE_TMP/raising.telemetry.jsonl" > "$TELE_TMP/raising.top.txt"
+if ! grep -q "\[ABORTED\]" "$TELE_TMP/raising.top.txt"; then
+  echo "raising-sweep check FAILED: the last frame shows no [ABORTED]"
+  exit 1
+fi
+echo "raising-sweep check ok (channel ends with sweep.end, aborted)"
+
 echo "== chaos parity smoke (injected faults must converge) =="
 python -m repro sweep --smoke-chaos
 

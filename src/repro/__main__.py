@@ -301,14 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # pollute the live view's job state and the final summary.
         telemetry.unlink()
 
-    live = None
-    heartbeat = None
-    if args.progress:
-        from repro.obs.telemetry import LiveProgress
-
-        live = LiveProgress(telemetry)
-        heartbeat = live.refresh
-
     def progress(done, total, result):
         source = "cache" if result.cached else f"{result.wall_s:6.2f}s"
         print(
@@ -335,20 +327,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 2
 
     per_job_lines = progress if not (args.quiet or args.progress) else None
-    report = run_sweep(
-        spec,
-        jobs=jobs,
-        cache=cache,
-        refresh=args.refresh,
-        obs_dir=obs_dir,
-        progress=per_job_lines,
-        isolate=args.isolate,
-        telemetry=telemetry,
-        heartbeat=heartbeat,
-        policy=policy,
-    )
-    if live is not None:
-        live.close()
+    live = None
+    if args.progress:
+        from repro.obs.telemetry import LiveProgress
+
+        live = LiveProgress(telemetry).start()
+    try:
+        report = run_sweep(
+            spec,
+            jobs=jobs,
+            cache=cache,
+            refresh=args.refresh,
+            obs_dir=obs_dir,
+            progress=per_job_lines,
+            isolate=args.isolate,
+            telemetry=telemetry,
+            policy=policy,
+        )
+    finally:
+        if live is not None:
+            live.close()
     report.summary_table().print()
     print(
         f"sweep digest {report.digest()[:16]}…  code {code_version()[:12]}…  "
@@ -470,42 +468,36 @@ def _resolve_slice(manifests, selector: str):
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    """``obs top``: render the live state of a telemetry channel."""
-    import time as _time
+    """``obs top``: render a telemetry channel (``--follow``: to its end)."""
+    from pathlib import Path
 
     from repro.obs.telemetry import (
-        FleetState,
-        TelemetryTail,
+        LiveProgress,
         read_events,
-        render_top,
         snapshot,
         write_fleet_chrome_trace,
     )
-
-    from pathlib import Path
 
     channel = Path(args.channel)
     if not channel.exists():
         print(f"obs top: no telemetry channel at {channel}", file=sys.stderr)
         return 2
-    state = FleetState()
-    tail = TelemetryTail(channel)
-    while True:
-        for event in tail.poll():
-            state.apply(event)
-        if not state.jobs and state.t_sweep_start is None:
-            print(
-                f"obs top: {channel} holds no telemetry records", file=sys.stderr
-            )
+    # With --json only the last snapshot prints: frames go nowhere.
+    with open(os.devnull, "w") as devnull:
+        view = LiveProgress(
+            channel, out=devnull if args.json else sys.stdout,
+            interval=args.interval,
+        )
+        snap = view.poll()
+        if not view.state.jobs and view.state.t_sweep_start is None:
+            print(f"obs top: {channel} holds no telemetry records", file=sys.stderr)
             return 2
-        snap = snapshot(state)
-        if not args.json:
-            print(render_top(snap))
-        if not args.follow or state.t_sweep_end is not None:
-            break
-        _time.sleep(args.interval)
+        if args.follow:
+            view.follow()
+        elif not args.json:
+            view.render(snap)
     if args.json:
-        print(json.dumps(snap, indent=2, sort_keys=True))
+        print(json.dumps(snapshot(view.state), indent=2, sort_keys=True))
     if args.chrome_out:
         write_fleet_chrome_trace(args.chrome_out, read_events(channel))
         print(f"wrote fleet Chrome trace to {args.chrome_out}")

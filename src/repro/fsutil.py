@@ -17,7 +17,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 PathLike = Union[str, os.PathLike]
 
@@ -99,3 +99,32 @@ def append_line(path: PathLike, line: str, sync: bool = True) -> None:
             os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def json_lines(lines: Iterable[bytes]) -> Iterator[dict]:
+    """The JSON object of each complete line of *lines* (as a binary
+    file yields them): the one rule for reading what :func:`append_line`
+    wrote.  A line without its newline (torn, or still being written) is
+    left out; blank lines, lines that are not UTF-8 or not JSON, and
+    non-objects are skipped.
+    """
+    for line in lines:
+        if line[-1:] != b"\n":
+            continue
+        try:
+            doc = json.loads(line.decode())
+        except ValueError:
+            continue
+        if isinstance(doc, dict):
+            yield doc
+
+
+def read_json_lines(path: PathLike) -> Iterator[dict]:
+    """:func:`json_lines` of the file at *path*, streamed (none when it
+    is missing)."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        yield from json_lines(fh)

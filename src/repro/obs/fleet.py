@@ -37,7 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from repro.fsutil import append_line, atomic_write_json, ensure_parent
+from repro.fsutil import (
+    append_line, atomic_write_json, ensure_parent, read_json_lines,
+)
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_SCHEMA = 1
@@ -156,7 +158,7 @@ class RunManifest:
 def _manifest_fields(doc: Mapping[str, Any]) -> dict[str, Any]:
     """The :class:`RunManifest` fields of one parsed record.
 
-    The one place an index line's skip rules live: for a record that
+    The one place an index record's skip rules live: for a record that
     :meth:`FleetIndex.load` and :meth:`FleetIndex.run_ids` skip, this
     raises ``ValueError``, ``KeyError``, ``TypeError`` or, for a
     ``schema`` of ``1e999``, ``OverflowError``.  ``doc["run_id"]`` comes
@@ -437,22 +439,16 @@ class FleetIndex:
         """The manifest fields of every readable record, first record
         per ``run_id`` (duplicates are identical by construction).
         Torn or foreign lines are skipped, never fatal."""
-        if not self.path.exists():
-            return
         seen: set[str] = set()
-        with open(self.path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    fields = _manifest_fields(json.loads(line))
-                except (ValueError, KeyError, TypeError, OverflowError):
-                    continue
-                if fields["run_id"] in seen:
-                    continue
-                seen.add(fields["run_id"])
-                yield fields
+        for doc in read_json_lines(self.path):
+            try:
+                fields = _manifest_fields(doc)
+            except (ValueError, KeyError, TypeError, OverflowError):
+                continue
+            if fields["run_id"] in seen:
+                continue
+            seen.add(fields["run_id"])
+            yield fields
 
     def load(self) -> list[RunManifest]:
         """All readable manifests, deduplicated by ``run_id``."""
@@ -530,21 +526,7 @@ class FleetIndex:
 
     def load_harness(self) -> list[dict]:
         """All readable harness summaries (torn lines skipped)."""
-        if not self.harness_path.exists():
-            return []
-        out = []
-        with open(self.harness_path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(doc, dict):
-                    out.append(doc)
-        return out
+        return list(read_json_lines(self.harness_path))
 
     def rewrite(self, manifests: list[RunManifest]) -> None:
         """Atomically replace the index file with *manifests* (sorted

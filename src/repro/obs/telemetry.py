@@ -57,14 +57,16 @@ On top of the channel:
 
 from __future__ import annotations
 
+import io
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.fsutil import append_line
+from repro.fsutil import append_line, json_lines, read_json_lines
 from repro.obs.metrics import Ewma
 
 #: Telemetry record format version.
@@ -77,10 +79,6 @@ STRAGGLER_FACTOR = 3.0
 #: Minimum completed peers before straggler detection engages (a
 #: median of one job is no baseline).
 STRAGGLER_MIN_PEERS = 3
-
-
-def _now() -> float:
-    return time.time()
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,7 @@ class TelemetryWriter:
 
     def __init__(self, path, clock=None) -> None:
         self.path = Path(path)
-        self._clock = clock or _now
+        self._clock = clock or time.time
 
     def emit(self, kind: str, **fields: Any) -> None:
         record = {"schema": TELEMETRY_SCHEMA, "kind": kind,
@@ -112,17 +110,8 @@ class TelemetryWriter:
 # ---------------------------------------------------------------------------
 
 
-def _parse_event(line: str) -> Optional[dict]:
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(doc, dict) or "kind" not in doc or "t" not in doc:
-        return None
-    return doc
+def _events(docs: Iterable[dict]) -> list[dict]:
+    return [doc for doc in docs if "kind" in doc and "t" in doc]
 
 
 def read_events(path) -> list[dict]:
@@ -131,20 +120,11 @@ def read_events(path) -> list[dict]:
     Torn lines (a writer crashed mid-record) and foreign lines are
     skipped, never fatal — the channel is advisory by design.
     """
-    p = Path(path)
-    if not p.exists():
-        return []
-    out = []
-    with open(p, "r") as fh:
-        for line in fh:
-            doc = _parse_event(line)
-            if doc is not None:
-                out.append(doc)
-    return out
+    return _events(read_json_lines(path))
 
 
 class TelemetryTail:
-    """Incremental reader: the parent's live view of the channel.
+    """Incremental reader: what a follower of the channel polls.
 
     :meth:`poll` returns the records appended since the last call,
     consuming only up to the last complete (newline-terminated) line —
@@ -162,18 +142,8 @@ class TelemetryTail:
                 chunk = fh.read()
         except OSError:
             return []
-        if not chunk:
-            return []
-        complete = chunk.rfind(b"\n") + 1
-        if complete == 0:
-            return []
-        self._offset += complete
-        events = []
-        for raw in chunk[:complete].splitlines():
-            doc = _parse_event(raw.decode("utf-8", errors="replace"))
-            if doc is not None:
-                events.append(doc)
-        return events
+        self._offset += chunk.rfind(b"\n") + 1
+        return _events(json_lines(io.BytesIO(chunk)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +626,8 @@ def render_top(snap: Mapping[str, Any]) -> str:
         f"{'-' if util is None else f'{util:.0%}'}",
     ]
     failures = snap.get("failures") or {}
-    if any(failures.get(k) for k in
-           ("retries", "timeouts", "pool_restarts", "quarantined")):
+    if any(failures.get(k) for k in ("retries", "timeouts", "pool_restarts",
+                                     "quarantined", "aborted")):
         lines.append(
             f"failures: {failures.get('retries', 0)} retries, "
             f"{failures.get('timeouts', 0)} timeouts, "
@@ -685,33 +655,37 @@ def render_top(snap: Mapping[str, Any]) -> str:
 
 
 class LiveProgress:
-    """The ``sweep --progress`` view: tail the channel, redraw the top.
+    """The ``sweep --progress`` and ``obs top --follow`` view: follow a
+    channel, redraw the top.
 
-    The sweep engine calls :meth:`refresh` from its heartbeat (between
-    pool completions) and :meth:`close` at the end.  On a TTY the block
-    redraws in place (ANSI cursor-up); otherwise at most one rendered
-    block per *interval* seconds is printed, so logs stay readable.
+    :meth:`follow` polls every *interval* seconds (by default 0.2 s on
+    a TTY, else 2 s) and renders, until a frame holds ``sweep.end`` or
+    :meth:`close` is called, which renders one final frame;
+    :meth:`start` runs it on a daemon thread.  On a TTY each frame
+    redraws the last (ANSI cursor-up); elsewhere frames follow each
+    other, so logs stay readable.
     """
 
-    def __init__(self, path, out=None, interval: float = 2.0) -> None:
+    def __init__(self, path, out=None, interval: Optional[float] = None) -> None:
         self.tail = TelemetryTail(path)
         self.state = FleetState()
         self.out = out if out is not None else sys.stderr
-        self.interval = interval
-        self._last_render = 0.0
-        self._last_height = 0
         self._tty = bool(getattr(self.out, "isatty", lambda: False)())
+        if interval is None:
+            interval = 0.2 if self._tty else 2.0
+        self.interval = interval
+        self._last_height = 0
+        self._closing = threading.Event()
+        self._thread: Optional[threading.Thread] = None
 
-    def refresh(self, force: bool = False) -> None:
+    def poll(self) -> dict:
+        """Fold the new records; returns the :func:`snapshot` so far."""
         for event in self.tail.poll():
             self.state.apply(event)
-        now = _now()
-        if not force and (now - self._last_render) < (
-            0.2 if self._tty else self.interval
-        ):
-            return
-        self._last_render = now
-        text = render_top(snapshot(self.state, now=self.state.t_last))
+        return snapshot(self.state)
+
+    def render(self, snap: Mapping[str, Any]) -> None:
+        text = render_top(snap)
         if self._tty and self._last_height:
             # Redraw over the previous block.
             self.out.write(f"\x1b[{self._last_height}F\x1b[J")
@@ -719,8 +693,26 @@ class LiveProgress:
         self.out.flush()
         self._last_height = text.count("\n") + 1
 
+    def follow(self) -> None:
+        while True:
+            closing = self._closing.is_set()
+            snap = self.poll()
+            # Nothing to show before the sweep announces its jobs.
+            if closing or self.state.n_total:
+                self.render(snap)
+            if closing or self.state.t_sweep_end is not None:
+                return
+            self._closing.wait(self.interval)
+
+    def start(self) -> "LiveProgress":
+        self._thread = threading.Thread(target=self.follow, daemon=True)
+        self._thread.start()
+        return self
+
     def close(self) -> None:
-        self.refresh(force=True)
+        self._closing.set()
+        if self._thread is not None:
+            self._thread.join()
 
 
 # ---------------------------------------------------------------------------

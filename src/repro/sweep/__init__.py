@@ -41,7 +41,7 @@ from repro.sweep.engine import (
     run_smoke,
     run_sweep,
 )
-from repro.sweep.policy import FailurePolicy, JobFailure
+from repro.sweep.policy import PROPAGATE, FailurePolicy, JobFailure
 from repro.sweep.experiments import (
     EXPERIMENTS,
     Experiment,
@@ -59,6 +59,7 @@ __all__ = [
     "Job",
     "JobFailure",
     "JobResult",
+    "PROPAGATE",
     "ResultCache",
     "SweepReport",
     "SweepSpec",

@@ -156,7 +156,12 @@ class ResultCache:
             },
         }
         result_file = self._result_file(digest)
-        atomic_write_json(result_file, doc)
+        try:
+            atomic_write_json(result_file, doc)
+        except IsADirectoryError:
+            # A directory squatting on the name (a miss for ``get``).
+            shutil.rmtree(result_file)
+            atomic_write_json(result_file, doc)
         try:
             self.bytes_promoted += os.stat(result_file).st_size
         except OSError:  # pragma: no cover - raced removal
@@ -165,7 +170,7 @@ class ResultCache:
         return entry
 
     def has(self, digest: str) -> bool:
-        return os.path.exists(self._result_file(digest))
+        return os.path.isfile(self._result_file(digest))
 
     def artifact_paths(self, digest: str) -> list[Path]:
         """The stored artifact files of an entry (empty if none)."""
@@ -188,6 +193,7 @@ class ResultCache:
             return []
         return sorted(
             p.parent.name for p in self.objects.glob("*/*/result.json")
+            if p.is_file()
         )
 
     def prune(self) -> int:
@@ -201,7 +207,9 @@ class ResultCache:
         every pruned digest because it derives purely from the
         surviving cache entries.
         """
-        digests = self.entries()
+        # Also an entry with a directory at ``result.json``.
+        found = self.objects.glob("*/*/result.json")
+        digests = sorted(p.parent.name for p in found)
         for digest in digests:
             shutil.rmtree(self.entry_dir(digest), ignore_errors=True)
             # Drop the 2-hex fan-out directory once it empties.

@@ -65,10 +65,7 @@ from repro.sweep.experiments import (
     get_experiment,
 )
 from repro.sweep.obsglue import OBS_DIR_ENV
-from repro.sweep.policy import FailurePolicy, JobFailure
-
-#: Longest wait between ``heartbeat`` calls while pool workers are busy.
-HEARTBEAT_INTERVAL_S = 0.5
+from repro.sweep.policy import PROPAGATE, FailurePolicy, JobFailure
 
 
 @dataclass(frozen=True)
@@ -412,7 +409,6 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     isolate: bool = False,
     telemetry: Optional[Path] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
     policy: Optional[FailurePolicy] = None,
 ) -> SweepReport:
     """Run (or fetch) every job of *spec*; returns a :class:`SweepReport`.
@@ -421,9 +417,9 @@ def run_sweep(
     ----------
     jobs:
         ``1`` runs every job in this process; ``N >= 2`` runs every
-        cache miss on up to N spawned workers.  With no *policy* and no
-        *isolate*, up to ``2 * N + 1`` jobs are in flight, so a worker
-        that finishes one finds the next queued; otherwise at most N are.
+        cache miss on up to N spawned workers.  Under :data:`PROPAGATE`
+        and without *isolate*, up to ``2 * N + 1`` jobs are in flight, so
+        a worker that finishes one finds the next queued; else at most N.
     cache:
         Content-addressed result cache (``None`` disables caching).
     refresh:
@@ -443,27 +439,26 @@ def run_sweep(
         events into the same file, and the finished report carries the
         :func:`repro.obs.telemetry.summarize` totals (also written to
         the sibling ``telemetry.json`` and, when a cache is attached,
-        appended next to the fleet run index).  Harness-side only:
+        appended next to the fleet run index).  A sweep that raises
+        still ends its channel with ``sweep.end`` (``aborted: true``),
+        where every follower of the channel stops.  Harness-side only:
         simulated payloads and :meth:`SweepReport.digest` are
         bit-identical with telemetry on or off.
-    heartbeat:
-        Zero-argument callable invoked between job completions (at
-        least every :data:`HEARTBEAT_INTERVAL_S` seconds while workers
-        are busy) — the hook that drives the live ``--progress`` view.
     policy:
         Failure policy (timeouts, bounded retries, pool respawn,
-        quarantine).  ``None`` keeps the legacy contract: the first job
-        exception propagates and aborts the sweep.  When ``REPRO_CHAOS``
-        is armed and no policy was given, a default policy is applied —
-        injected faults are meant to be absorbed, not fatal.
+        quarantine).  ``None`` means :data:`PROPAGATE`, the legacy
+        contract: the first job exception propagates and aborts the
+        sweep.  With ``REPRO_CHAOS`` armed both mean ``FailurePolicy()``
+        instead — injected faults are meant to be absorbed, not fatal.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if policy is None and ChaosSpec.from_env().active:
-        # Armed chaos without an explicit policy gets the defaults:
-        # injected faults should surface as retries and quarantine
-        # records, not as a crashed harness.
-        policy = FailurePolicy()
+    if policy is None or policy is PROPAGATE:
+        # Armed chaos gets the defaults: injected faults should surface
+        # as retries and quarantine records, not as a crashed harness.
+        policy = FailurePolicy() if ChaosSpec.from_env().active else PROPAGATE
+    # The legacy contract: the first failed attempt raises.
+    propagate = policy is PROPAGATE
     job_list = spec.resolve()
     if not job_list:
         # An empty resolution would otherwise "succeed" with an empty
@@ -472,6 +467,9 @@ def run_sweep(
             "sweep spec resolves to zero jobs; check the experiment list "
             "and the seed range"
         )
+    # Before ``sweep.start``: what can raise after that record runs
+    # inside the ``try`` whose ``finally`` writes ``sweep.end``.
+    code = digests.code_version()
     want_obs = obs_dir is not None
     if want_obs:
         obs_dir = Path(obs_dir)
@@ -497,17 +495,9 @@ def run_sweep(
             # cache activity even on a long-lived ResultCache.
             cache_base = cache.counts()
 
-    def tick() -> None:
-        if heartbeat is not None:
-            heartbeat()
-
-    # Fleet run index: one manifest per job, appended at the cache
-    # root.  Purely export-side — no cache, no index, no cost.
+    # Fleet run index (read below): one manifest per job, appended at
+    # the cache root.  Purely export-side — no cache, no index, no cost.
     fleet_index = indexed_ids = None
-    if cache is not None:
-        fleet_index = FleetIndex.at_cache_root(cache.root)
-        indexed_ids = fleet_index.run_ids()
-    code = digests.code_version()
 
     def record_manifest(job: Job, payload: dict, artifacts) -> None:
         if fleet_index is None:
@@ -542,7 +532,6 @@ def run_sweep(
         done += 1
         if progress is not None:
             progress(done, len(job_list), result)
-        tick()
 
     def requeue(index: int, job: Job, attempt: int, delay: float) -> None:
         if delay <= 0:
@@ -554,12 +543,12 @@ def run_sweep(
 
     def fail(index: int, job: Job, attempt: int, exc: BaseException) -> None:
         """Charge a failed attempt of *job*: the one place a failure is
-        decided.  Without a policy the exception propagates (the legacy
-        contract); otherwise the job retries after its backoff while it
-        has retry budget and the sweep is still running, and is
-        quarantined once it has not."""
+        decided.  Under :data:`PROPAGATE` the exception propagates;
+        otherwise the job retries after its backoff while it has retry
+        budget and the sweep is still running, and is quarantined once
+        it has not."""
         nonlocal aborted
-        if policy is None:
+        if propagate:
             raise exc
         fail_counts[index] = failures = fail_counts.get(index, 0) + 1
         if failures <= policy.max_retries and not aborted:
@@ -611,40 +600,8 @@ def run_sweep(
             and len(quarantined) > policy.max_failures
         ):
             aborted = True
-        tick()
 
-    # -- pass 1: cache lookups -----------------------------------------
-    for i, job in enumerate(job_list):
-        hit = None if (cache is None or refresh) else cache.get(job.digest)
-        if hit is not None:
-            payload, meta = hit
-            # An entry recorded without artifacts cannot serve an
-            # observability-requesting sweep; re-run and upgrade it.
-            if want_obs and not meta.get("artifacts"):
-                ready.append((i, job, 0))
-                continue
-            artifacts = []
-            if want_obs:
-                artifacts = [
-                    p.name for p in cache.export_artifacts(job.digest, obs_dir)
-                ]
-            # A hit whose manifest is missing (deleted or older index)
-            # is re-indexed from the cached artifacts.
-            if indexed_ids is not None and job.digest not in indexed_ids:
-                record_manifest(job, payload, cache.artifact_paths(job.digest))
-            emit(
-                "cache.hit", job=i, digest=job.digest,
-                experiment=job.experiment, seed=job.seed,
-            )
-            settle(i, JobResult(job, payload, True, 0.0, artifacts))
-        else:
-            ready.append((i, job, 0))
-
-    # -- pass 2: execute misses ----------------------------------------
-    staging_root = (
-        Path(tempfile.mkdtemp(prefix="repro-sweep-obs-")) if want_obs else None
-    )
-
+    # Pass 2 helpers (``staging_root`` is made below, with *obs_dir*).
     def staging_for(index: int) -> Optional[str]:
         if staging_root is None:
             return None
@@ -694,9 +651,8 @@ def run_sweep(
     # ``jobs=1`` each job runs inline as it is submitted.  Otherwise
     # every miss, even a single one, runs on spawned workers: a timeout
     # always has a process to kill, and the simulator stays out of this
-    # process.
+    # process.  (``n_workers`` is set once pass 1 has counted misses.)
     pooled = jobs > 1
-    n_workers = min(jobs, len(ready))
     pool_kwargs: dict[str, Any] = {}
     if isolate:
         pool_kwargs["max_tasks_per_child"] = 1
@@ -708,27 +664,6 @@ def run_sweep(
             max_workers=n_workers, mp_context=get_context("spawn"),
             **pool_kwargs,
         )
-
-    # Under a policy, and with isolation, submission is throttled to
-    # the worker count so "in flight" means "actually running" and
-    # deadlines are honest.  Otherwise workers are fed ahead: n running
-    # jobs plus the n + 1 slots of the executor's call queue, so a
-    # worker finds its next job queued while this process is still
-    # writing results.  (More would only wait in this process, and a
-    # large fill would leave its heap fragmented for the rest of the
-    # process.)
-    max_in_flight = (
-        2 * n_workers + 1 if pooled and policy is None and not isolate
-        else n_workers
-    )
-    timeout_s = policy.timeout_s if policy is not None else None
-    # Crash respawns draw on this budget; timeout kills are
-    # policy-initiated and already bounded by the per-job retry
-    # budgets, so they do not consume it.  Without a policy a broken
-    # pool ends the sweep.
-    max_restarts = policy.max_pool_restarts if policy is not None else 0
-    crash_restarts = 0
-    pool = None
 
     def fill() -> Optional[BrokenExecutor]:
         """Submit ready jobs up to the in-flight limit, starting a pool
@@ -769,7 +704,59 @@ def run_sweep(
         )
         return victims
 
+    pool = staging_root = None
     try:
+        if cache is not None:
+            fleet_index = FleetIndex.at_cache_root(cache.root)
+            indexed_ids = fleet_index.run_ids()
+
+        # -- pass 1: cache lookups -------------------------------------
+        for i, job in enumerate(job_list):
+            hit = None if (cache is None or refresh) else cache.get(job.digest)
+            if hit is not None:
+                payload, meta = hit
+                # An entry recorded without artifacts cannot serve an
+                # observability-requesting sweep; re-run and upgrade it.
+                if want_obs and not meta.get("artifacts"):
+                    ready.append((i, job, 0))
+                    continue
+                artifacts = []
+                if want_obs:
+                    exported = cache.export_artifacts(job.digest, obs_dir)
+                    artifacts = [p.name for p in exported]
+                # A hit whose manifest is missing (deleted or older
+                # index) is re-indexed from the cached artifacts.
+                if indexed_ids is not None and job.digest not in indexed_ids:
+                    paths = cache.artifact_paths(job.digest)
+                    record_manifest(job, payload, paths)
+                emit(
+                    "cache.hit", job=i, digest=job.digest,
+                    experiment=job.experiment, seed=job.seed,
+                )
+                settle(i, JobResult(job, payload, True, 0.0, artifacts))
+            else:
+                ready.append((i, job, 0))
+
+        # -- pass 2: execute misses ------------------------------------
+        if want_obs:
+            staging_root = Path(tempfile.mkdtemp(prefix="repro-sweep-obs-"))
+        n_workers = min(jobs, len(ready))
+        # Under a degrade-gracefully policy, and with isolation,
+        # submission is throttled to the worker count so "in flight"
+        # means "actually running" and deadlines are honest.  Otherwise
+        # workers are fed ahead: n running jobs plus the n + 1 slots of
+        # the executor's call queue, so a worker finds its next job
+        # queued while this process is still writing results.  (More
+        # would only wait in this process, and a large fill would leave
+        # its heap fragmented for the rest of the process.)
+        max_in_flight = (
+            2 * n_workers + 1 if pooled and propagate and not isolate
+            else n_workers
+        )
+        # Crash respawns draw on ``policy.max_pool_restarts``; timeout
+        # kills are policy-initiated and already bounded by the per-job
+        # retry budgets, so they do not consume it.
+        crash_restarts = 0
         while (ready or delayed or in_flight) and not aborted:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -783,15 +770,14 @@ def run_sweep(
                     time.sleep(max(delayed[0][0] - time.monotonic(), 0.0))
                 continue
             if broken is None:
-                # Wake up for the heartbeat, the earliest job deadline,
-                # or the earliest backoff release — whichever comes
-                # first.
-                waits = [HEARTBEAT_INTERVAL_S] if heartbeat is not None else []
-                if timeout_s is not None:
+                # Wake up for the earliest job deadline or the earliest
+                # backoff release, whichever comes first.
+                waits = []
+                if policy.timeout_s is not None:
                     first = min(t0 for (_, _, _, t0) in in_flight.values())
-                    waits.append(
-                        max(first + timeout_s - time.monotonic(), 0.0) + 0.01
-                    )
+                    waits.append(max(
+                        first + policy.timeout_s - time.monotonic(), 0.0
+                    ) + 0.01)
                 if delayed:
                     waits.append(
                         max(delayed[0][0] - time.monotonic(), 0.0) + 0.01
@@ -801,7 +787,6 @@ def run_sweep(
                     timeout=min(waits, default=None),
                     return_when=FIRST_COMPLETED,
                 )
-                tick()
                 landed: list[tuple[int, Job, dict, float, int]] = []
                 for fut in finished:
                     index, job, att, _t0 = in_flight.pop(fut)
@@ -839,7 +824,7 @@ def run_sweep(
             if broken is not None:
                 crash_restarts += 1
                 victims = restart("crash")
-                if crash_restarts <= max_restarts:
+                if crash_restarts <= policy.max_pool_restarts:
                     for index, job, att, _t0 in victims:
                         requeue(index, job, att + 1, 0.0)
                 else:
@@ -848,18 +833,18 @@ def run_sweep(
                     aborted = True
                     crash = WorkerCrashError(
                         "worker pool kept crashing; restart budget "
-                        f"({max_restarts}) exhausted"
+                        f"({policy.max_pool_restarts}) exhausted"
                     )
                     crash.__cause__ = broken
                     stranded = victims + list(ready) + [d[1:] for d in delayed]
                     for index, job, att, *_ in stranded:
                         fail(index, job, att, crash)
             # -- per-job wall-clock deadlines --------------------------
-            elif timeout_s is not None and in_flight:
+            elif policy.timeout_s is not None and in_flight:
                 now = time.monotonic()
                 expired = {
                     index for fut, (index, _, _, t0) in in_flight.items()
-                    if now - t0 >= timeout_s and not fut.done()
+                    if now - t0 >= policy.timeout_s and not fut.done()
                 }
                 if expired:
                     # Innocent in-flight jobs are re-enqueued at no cost
@@ -871,12 +856,16 @@ def run_sweep(
                         counters["timeouts"] += 1
                         emit(
                             "job.timeout", job=index, attempt=att,
-                            elapsed_s=now - t0, timeout_s=timeout_s,
+                            elapsed_s=now - t0, timeout_s=policy.timeout_s,
                         )
-                        fail(
-                            index, job, att,
-                            JobTimeoutError(job.label, timeout_s, now - t0),
-                        )
+                        fail(index, job, att, JobTimeoutError(
+                            job.label, policy.timeout_s, now - t0
+                        ))
+    except BaseException:
+        # A raising sweep (the legacy contract, Ctrl-C) still ends its
+        # channel, so every follower stops at ``sweep.end``.
+        aborted = True
+        raise
     finally:
         if pool is not None:
             if in_flight or aborted:
@@ -886,6 +875,16 @@ def run_sweep(
                 pool.shutdown(wait=True)
         if staging_root is not None:
             shutil.rmtree(staging_root, ignore_errors=True)
+        emit(
+            "sweep.end",
+            n_done=done,
+            n_quarantined=len(quarantined),
+            aborted=aborted,
+            cache={
+                k: v - cache_base.get(k, 0)
+                for k, v in cache.counts().items()
+            } if cache is not None else {},
+        )
 
     report = SweepReport(
         [results[i] for i in sorted(results)],
@@ -898,25 +897,10 @@ def run_sweep(
     if telemetry is not None:
         from repro.obs.telemetry import read_events, summarize, write_summary
 
-        emit(
-            "sweep.end",
-            n_done=done,
-            n_quarantined=len(quarantined),
-            aborted=aborted,
-            cache={
-                k: v - cache_base.get(k, 0)
-                for k, v in cache.counts().items()
-            } if cache is not None else {},
-        )
         report.telemetry = summarize(read_events(telemetry))
         write_summary(telemetry, report.telemetry)
         if fleet_index is not None:
             fleet_index.record_harness(report.telemetry)
-    # One final heartbeat regardless of channel or outcome: a fully
-    # cache-served sweep must still drive the live view to its last
-    # frame (and emit the sweep.end totals above) instead of silently
-    # skipping the heartbeat path.
-    tick()
     return report
 
 

@@ -26,9 +26,10 @@ from repro.sweep import digests
 class FailurePolicy:
     """How a sweep responds to job failures.
 
-    ``run_sweep(policy=None)`` is the legacy contract — the first
-    exception propagates and aborts the sweep.  Any policy, even
-    ``FailurePolicy()``, switches to degrade-gracefully semantics.
+    The preset :data:`PROPAGATE` (what ``run_sweep(policy=None)`` runs
+    under) is the legacy contract: the first exception propagates and
+    aborts the sweep.  Any other policy, even ``FailurePolicy()``,
+    switches to degrade-gracefully semantics.
     """
 
     #: Per-job wall-clock budget in seconds (``None`` disables timeouts).
@@ -101,6 +102,12 @@ class FailurePolicy:
         )
         u = digests.uniform(f"backoff|{digest}|{failures}")
         return raw * (1.0 + self.jitter * (2.0 * u - 1.0))
+
+
+#: The legacy contract: no timeout, no retry, no pool restart — the
+#: first failed attempt raises out of ``run_sweep``.  Known by identity:
+#: an equal policy built by hand degrades gracefully like any other.
+PROPAGATE = FailurePolicy(max_retries=0, max_pool_restarts=0)
 
 
 @dataclass

@@ -225,6 +225,18 @@ class TestFleetIndex:
         assert [m.run_id for m in idx.load()] == ["a", "b"]
         assert idx.run_ids() == {"a", "b"}
 
+    def test_line_that_is_not_utf8_is_skipped(self, tmp_path):
+        idx = FleetIndex(tmp_path / "runs.jsonl")
+        idx.append(mk("a"))
+        with open(idx.path, "ab") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+            # Valid JSON but for one byte: still not a record.
+            fh.write(mk("x").line().replace('"x"', '"\xff"').encode("latin-1"))
+            fh.write(b"\n")
+        idx.append(mk("b", seed=1))
+        assert [m.run_id for m in idx.load()] == ["a", "b"]
+        assert idx.run_ids() == {"a", "b"}
+
     def test_load_missing_file_is_empty(self, tmp_path):
         assert FleetIndex(tmp_path / "nope.jsonl").load() == []
         assert FleetIndex(tmp_path / "nope.jsonl").run_ids() == set()
@@ -321,6 +333,19 @@ class TestSweepIndexing:
         assert json.loads(after[2])["run_id"] == doc["run_id"]
         assert idx.digest() == idx.digest(FleetIndex.rebuild_from_cache(cache))
 
+    def test_warm_sweep_over_a_line_that_is_not_utf8(self, small_sweep):
+        from repro.sweep.engine import run_sweep
+
+        cache, spec, report, tmp = small_sweep
+        idx = FleetIndex.at_cache_root(cache.root)
+        with open(idx.path, "ab") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+        before = idx.path.read_bytes()
+        report2 = run_sweep(spec, jobs=1, cache=cache)
+        assert report2.n_cached == 2
+        assert report2.digest() == report.digest()
+        assert idx.path.read_bytes() == before  # nothing re-indexed
+
     def test_warm_sweep_leaves_a_healthy_index_untouched(self, small_sweep):
         from repro.sweep.engine import run_sweep
 
@@ -397,6 +422,14 @@ class TestHarnessSidecar:
         with open(idx.harness_path, "a") as fh:
             fh.write('{"n_jobs": 2, "torn')
         assert [d["n_jobs"] for d in idx.load_harness()] == [4]
+
+    def test_load_harness_skips_a_line_that_is_not_utf8(self, tmp_path):
+        idx = FleetIndex.at_cache_root(tmp_path / "cache")
+        idx.record_harness({"n_jobs": 4})
+        with open(idx.harness_path, "ab") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+        idx.record_harness({"n_jobs": 2})
+        assert [d["n_jobs"] for d in idx.load_harness()] == [4, 2]
 
     def test_harness_sidecar_never_enters_index_digest(self, small_sweep):
         cache, spec, report, tmp = small_sweep

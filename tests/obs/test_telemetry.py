@@ -2,10 +2,14 @@
 
 All channel fixtures here are synthetic with hand-picked epoch
 timestamps, so every derived quantity (queue wait, ETA, utilization,
-straggler factors) is exact — no sleeping, no real clock.
+straggler factors) is exact — no real clock.  Only the follower tests
+wait, for the thread that follows a channel.
 """
 
+import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -109,6 +113,16 @@ class TestWriterAndReaders:
         )  # last line torn mid-record, no newline
         events = read_events(path)
         assert [e["kind"] for e in events] == ["job.start"]
+
+    def test_line_that_is_not_utf8_is_skipped(self, tmp_path):
+        w = make_writer(tmp_path)
+        tail = TelemetryTail(w.path)
+        w.emit("job.submit", job=0)
+        with open(w.path, "ab") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+        w.emit("job.submit", job=1)
+        assert [e["job"] for e in read_events(w.path)] == [0, 1]
+        assert [e["job"] for e in tail.poll()] == [0, 1]
 
     def test_tail_is_incremental(self, tmp_path):
         w = make_writer(tmp_path)
@@ -394,19 +408,96 @@ class TestRendering:
         assert "eta -" in text and "cache hit rate -" in text
 
     def test_live_progress_non_tty(self, tmp_path):
-        import io
-
         channel = tmp_path / "t.jsonl"
-        with open(channel, "w") as fh:
-            for e in synthetic_events():
-                fh.write(json.dumps(e) + "\n")
+        write_events(channel, synthetic_events())
         out = io.StringIO()
-        live = LiveProgress(channel, out=out, interval=0.0)
-        live.refresh()
-        live.close()
+        LiveProgress(channel, out=out, interval=0.0).follow()
         text = out.getvalue()
-        assert "4/4 jobs" in text
+        # The channel already holds sweep.end: one frame, the last.
+        assert text.count("sweep ") == 1
+        assert "sweep done:" in text and "4/4 jobs" in text
         assert "\x1b[" not in text  # no ANSI control on a non-TTY
+
+    def test_render_top_shows_an_abort_without_failures(self):
+        # A sweep that raised ends its channel with an aborted sweep.end
+        # and no failure-policy record.
+        events = synthetic_events()
+        events[-1] = {**events[-1], "aborted": True}
+        text = render_top(snapshot(FleetState().apply_all(events)))
+        assert "0 quarantined  [ABORTED]" in text
+
+
+# ---------------------------------------------------------------------------
+# The follower (sweep --progress, obs top --follow): these wait on a thread
+# ---------------------------------------------------------------------------
+
+
+def write_events(channel, events, mode="w"):
+    with open(channel, mode) as fh:
+        for e in events:
+            fh.write(json.dumps(e) + "\n")
+
+
+def following(live):
+    """Run *live*'s follow loop on a thread of the test's own, so that
+    the test can bound its join."""
+    follower = threading.Thread(target=live.follow, daemon=True)
+    follower.start()
+    return follower
+
+
+def wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert predicate()
+
+
+class TestFollower:
+    def test_stops_by_itself_after_sweep_end(self, tmp_path):
+        channel = tmp_path / "t.jsonl"
+        events = synthetic_events()
+        write_events(channel, events[:-1])
+        out = io.StringIO()
+        live = LiveProgress(channel, out=out, interval=0.01)
+        follower = following(live)
+        wait_for(lambda: "sweep running:" in out.getvalue())
+        write_events(channel, events[-1:], mode="a")
+        follower.join(timeout=10.0)
+        assert not follower.is_alive()
+        text = out.getvalue()
+        # One final frame, the one that holds sweep.end, and none after.
+        assert text.count("sweep done:") == 1
+        assert text.index("sweep done:") > text.rindex("sweep running:")
+        assert "4/4 jobs" in text[text.index("sweep done:"):]
+
+    def test_close_stops_it_after_one_final_frame(self, tmp_path):
+        channel = tmp_path / "t.jsonl"
+        events = synthetic_events()
+        write_events(channel, events[:3])
+        out = io.StringIO()
+        # The interval outlasts the test: only close() can wake it.
+        live = LiveProgress(channel, out=out, interval=600.0)
+        follower = following(live)
+        wait_for(lambda: "sweep running:" in out.getvalue())
+        write_events(channel, events[3:-1], mode="a")  # no sweep.end
+        live.close()
+        follower.join(timeout=10.0)
+        assert not follower.is_alive()
+        frames = out.getvalue().split("sweep running:")[1:]
+        assert len(frames) == 2
+        assert "1/4 jobs" in frames[0] and "4/4 jobs" in frames[1]
+
+    def test_nothing_is_drawn_before_the_sweep_starts(self, tmp_path):
+        out = io.StringIO()
+        live = LiveProgress(tmp_path / "t.jsonl", out=out, interval=0.01)
+        follower = following(live)
+        time.sleep(0.05)
+        assert out.getvalue() == ""
+        live.close()
+        follower.join(timeout=10.0)
+        assert not follower.is_alive()
+        assert "0/0 jobs" in out.getvalue()  # the final frame, still
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,32 @@ def test_result_path_that_is_a_directory_is_a_plain_miss(cache):
     assert cache.misses == 1 and cache.corrupt == 0
 
 
+def test_sweep_replaces_a_directory_at_result_json(tmp_path):
+    """``get`` misses such an entry, so the job re-runs; its ``put`` used
+    to fail on the directory while ``has`` and ``entries`` listed it."""
+    from repro.sweep import SweepSpec, run_sweep
+
+    spec = SweepSpec(
+        experiments=["checkpoint_resilience"], seeds=[0, 1],
+        overrides={"checkpoint_resilience": {"work_s": 200.0, "mtbf_s": 120.0}},
+    )
+    cache = ResultCache(tmp_path / "cache")
+    victim = spec.resolve()[0].digest
+    squatter = cache.entry_dir(victim) / "result.json" / "junk"
+    squatter.mkdir(parents=True)
+    assert not cache.has(victim) and cache.entries() == []
+    # ``prune`` still deletes such an entry.
+    assert cache.prune() == 1 and not cache.entry_dir(victim).exists()
+    squatter.mkdir(parents=True)
+
+    cold = run_sweep(spec, cache=cache)
+    assert [r.cached for r in cold.results] == [False, False]
+    assert cache.has(victim) and len(cache.entries()) == 2
+    warm = run_sweep(spec, cache=ResultCache(cache.root))
+    assert [r.cached for r in warm.results] == [True, True]
+    assert warm.digest() == cold.digest()
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
 )

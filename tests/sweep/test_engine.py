@@ -9,7 +9,13 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sweep import FailurePolicy, ResultCache, SweepSpec, run_sweep
+from repro.sweep import (
+    PROPAGATE,
+    FailurePolicy,
+    ResultCache,
+    SweepSpec,
+    run_sweep,
+)
 
 SPEC = SweepSpec(
     experiments=["pingpong", "checkpoint_resilience"],
@@ -206,14 +212,47 @@ def test_telemetry_writes_summary_and_harness_record(tmp_path):
     assert harness[0]["n_jobs"] == 4
 
 
-def test_telemetry_heartbeat_fires(tmp_path):
-    beats = []
-    run_sweep(
-        SPEC, jobs=1, cache=ResultCache(tmp_path / "cache"),
-        telemetry=tmp_path / "telemetry.jsonl",
-        heartbeat=lambda: beats.append(1),
-    )
-    assert beats  # called at least once per completion batch
+def _follow(channel):
+    """A live view following *channel* on a thread: ``(view, thread,
+    output)``."""
+    import io
+    import threading
+
+    from repro.obs.telemetry import LiveProgress
+
+    out = io.StringIO()
+    live = LiveProgress(channel, out=out, interval=0.01)
+    follower = threading.Thread(target=live.follow, daemon=True)
+    follower.start()
+    return live, follower, out
+
+
+def _close(live, follower):
+    live.close()
+    follower.join(timeout=10.0)
+    assert not follower.is_alive()
+
+
+def _last_frame(out):
+    text = out.getvalue()
+    return text[text.rindex("sweep "):]
+
+
+def test_live_view_follows_a_sweep_to_its_end(tmp_path):
+    # Started before the channel exists, the view ends on the frame of
+    # the finished sweep, and draws it once.
+    channel = tmp_path / "telemetry.jsonl"
+    live, follower, out = _follow(channel)
+    try:
+        run_sweep(
+            SPEC, jobs=1, cache=ResultCache(tmp_path / "cache"),
+            telemetry=channel,
+        )
+    finally:
+        _close(live, follower)
+    assert out.getvalue().count("sweep done:") == 1
+    assert _last_frame(out).startswith("sweep done:")
+    assert "4/4 jobs" in _last_frame(out)
 
 
 def test_inline_sweep_writes_each_result_before_the_next_job_starts(tmp_path):
@@ -235,25 +274,70 @@ def test_inline_sweep_writes_each_result_before_the_next_job_starts(tmp_path):
     assert starts_seen == [1, 2, 3, 4]
 
 
-def test_heartbeat_and_end_totals_on_fully_cached_sweep(tmp_path):
+def test_live_view_and_end_totals_on_fully_cached_sweep(tmp_path):
     # A sweep where every job is cache-served never enters the execute
-    # loop; the final tick and the sweep.end totals must fire anyway so
-    # live views land on a finished state instead of a stale one.
+    # loop; the sweep.end totals must land anyway so live views end on
+    # a finished state instead of a stale one.
     from repro.obs.telemetry import read_events
 
     cache = ResultCache(tmp_path / "cache")
     run_sweep(SPEC, jobs=1, cache=cache)
-    beats = []
-    warm = run_sweep(
-        SPEC, jobs=1, cache=cache,
-        telemetry=tmp_path / "warm.jsonl",
-        heartbeat=lambda: beats.append(1),
-    )
-    assert warm.n_cached == 4 and beats
+    live, follower, out = _follow(tmp_path / "warm.jsonl")
+    try:
+        warm = run_sweep(
+            SPEC, jobs=1, cache=cache, telemetry=tmp_path / "warm.jsonl",
+        )
+    finally:
+        _close(live, follower)
+    assert warm.n_cached == 4
+    assert _last_frame(out).startswith("sweep done:")
+    assert "4/4 jobs" in _last_frame(out)
+    assert "4 cache-served" in _last_frame(out)
     end = read_events(tmp_path / "warm.jsonl")[-1]
     assert end["kind"] == "sweep.end"
     assert end["n_done"] == 4 and end["n_quarantined"] == 0
     assert end["aborted"] is False
+
+
+#: Every job raises in the experiment: the first failure propagates.
+RAISING_SPEC = SweepSpec(
+    experiments=["collective_scale"], seeds=[0, 1],
+    overrides={"collective_scale": {"ranks": 0}},
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_raising_sweep_still_ends_its_channel(tmp_path, jobs):
+    from repro.obs.telemetry import read_events
+
+    channel = tmp_path / "telemetry.jsonl"
+    with pytest.raises(ConfigurationError, match="ranks must be >= 1"):
+        run_sweep(RAISING_SPEC, jobs=jobs, telemetry=channel)
+    events = read_events(channel)
+    assert events[0]["kind"] == "sweep.start"
+    assert [e["kind"] for e in events].count("sweep.end") == 1
+    end = events[-1]
+    assert end["kind"] == "sweep.end" and end["aborted"] is True
+    assert end["n_done"] == 0 and end["n_quarantined"] == 0
+    _assert_no_live_workers()
+
+
+def test_an_interrupted_sweep_still_ends_its_channel(tmp_path):
+    from repro.obs.telemetry import read_events
+
+    def interrupt(done, total, result):
+        raise KeyboardInterrupt
+
+    channel = tmp_path / "telemetry.jsonl"
+    cache = ResultCache(tmp_path / "cache")
+    run_sweep(SPEC, jobs=1, cache=cache)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(
+            SPEC, jobs=1, cache=cache, telemetry=channel, progress=interrupt,
+        )
+    end = read_events(channel)[-1]
+    assert end["kind"] == "sweep.end" and end["aborted"] is True
+    assert end["n_done"] == 1
 
 
 def test_run_smoke_with_telemetry_dir(tmp_path, capsys):
@@ -336,12 +420,16 @@ def _assert_no_live_workers(timeout_s=10.0):
 
 def test_policy_free_pooled_sweep_submits_ahead(tmp_path):
     serial = run_sweep(POOL_SPEC, jobs=1)
-    report, starts, peak = _pooled_run(tmp_path)
-    assert report.digest() == serial.digest()
-    assert len(starts) == 8 and os.getpid() not in starts
-    assert len(set(starts)) <= 2
-    assert peak > 2  # more jobs in flight than there are workers
-    _assert_no_live_workers()
+    # No policy and the legacy preset are one contract.
+    for policy in (None, PROPAGATE):
+        report, starts, peak = _pooled_run(
+            tmp_path / str(policy is None), policy=policy
+        )
+        assert report.digest() == serial.digest()
+        assert len(starts) == 8 and os.getpid() not in starts
+        assert len(set(starts)) <= 2
+        assert peak > 2  # more jobs in flight than there are workers
+        _assert_no_live_workers()
 
 
 @pytest.mark.parametrize(
@@ -359,17 +447,23 @@ def test_policy_or_isolate_throttles_to_the_worker_count(tmp_path, isolation):
 
 
 @pytest.mark.parametrize(
-    "experiments",
-    [["collective_scale", "pingpong"], ["pingpong", "collective_scale"]],
-    ids=["first-jobs-fail", "last-jobs-fail"],
+    "experiments, policy",
+    [
+        (["collective_scale", "pingpong"], None),
+        (["pingpong", "collective_scale"], None),
+        (["collective_scale", "pingpong"], PROPAGATE),
+        (["pingpong", "collective_scale"], PROPAGATE),
+    ],
+    ids=["first-jobs-fail", "last-jobs-fail",
+         "first-jobs-fail-preset", "last-jobs-fail-preset"],
 )
-def test_no_worker_outlives_a_failing_legacy_sweep(experiments):
+def test_no_worker_outlives_a_failing_legacy_sweep(experiments, policy):
     spec = SweepSpec(
         experiments=experiments, seeds=[0, 1, 2],
         overrides={**SPEC.overrides, "collective_scale": {"ranks": 0}},
     )
     with pytest.raises(ConfigurationError, match="ranks must be >= 1") as info:
-        run_sweep(spec, jobs=2)
+        run_sweep(spec, jobs=2, policy=policy)
     # Raised in a worker: the remote traceback is its cause.
     assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
     _assert_no_live_workers()

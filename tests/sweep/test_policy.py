@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sweep import (
     EXPERIMENTS,
+    PROPAGATE,
     FailurePolicy,
     ResultCache,
     SweepSpec,
@@ -138,8 +139,20 @@ def boom_experiment():
 
 
 def test_legacy_no_policy_propagates(boom_experiment):
-    with pytest.raises(RuntimeError, match="boom"):
-        run_sweep(boom_experiment, jobs=1)
+    # No policy and the legacy preset are one contract.
+    for policy in (None, PROPAGATE):
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep(boom_experiment, jobs=1, policy=policy)
+
+
+def test_the_preset_is_known_by_identity(boom_experiment):
+    assert PROPAGATE.timeout_s is None
+    assert PROPAGATE.max_retries == 0 and PROPAGATE.max_pool_restarts == 0
+    # An equal policy built by hand degrades gracefully like any other.
+    twin = FailurePolicy(max_retries=0, max_pool_restarts=0)
+    assert twin == PROPAGATE
+    report = run_sweep(boom_experiment, jobs=1, policy=twin)
+    assert len(report.failures) == 3 and not report.results
 
 
 def test_exhausted_retries_quarantine_without_killing_the_sweep(
@@ -192,8 +205,10 @@ def test_serial_corrupt_chaos_is_caught_and_quarantined(monkeypatch):
 
 def test_chaos_auto_arms_a_default_policy(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "corrupt:1")
-    report = run_sweep(SPEC, jobs=1)  # no policy passed
-    assert len(report.failures) == 2  # quarantined, not raised
+    # No policy and the legacy preset are one contract here too.
+    for policy in (None, PROPAGATE):
+        report = run_sweep(SPEC, jobs=1, policy=policy)
+        assert len(report.failures) == 2  # quarantined, not raised
 
 
 def test_quarantined_jobs_never_reach_the_cache(monkeypatch, tmp_path):

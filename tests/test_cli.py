@@ -221,10 +221,12 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "sweep done:" in out and "2/2 jobs" in out
 
-        assert main(["obs", "top", str(channel), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["finished"] is True
-        assert doc["n_completed"] == doc["n_total"] == 2
+        # With --json, following draws no frame before the document.
+        for follow in ([], ["--follow", "--interval", "0.05"]):
+            assert main(["obs", "top", str(channel), "--json", *follow]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["finished"] is True
+            assert doc["n_completed"] == doc["n_total"] == 2
 
         trace_path = tmp_path / "fleet.trace.json"
         assert main(["obs", "top", str(channel),
@@ -234,6 +236,36 @@ class TestTelemetryCli:
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert len(spans) == 2
         assert all(e["cat"] == "computed" for e in spans)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_obs_top_follow_returns_on_a_raising_sweep(
+        self, capsys, tmp_path, jobs
+    ):
+        # The sweep raises, yet its channel ends with sweep.end: following
+        # it returns at once, on an [ABORTED] frame.
+        import threading
+
+        from repro.errors import ConfigurationError
+
+        channel = tmp_path / "telemetry.jsonl"
+        with pytest.raises(ConfigurationError, match="ranks must be >= 1"):
+            main(["sweep", "-e", "collective_scale", "-s", "0,1", "-j", jobs,
+                  "--no-cache", "--quiet",
+                  "--set", "collective_scale.ranks=0",
+                  "--telemetry", str(channel)])
+        capsys.readouterr()
+        codes = []
+        follower = threading.Thread(
+            target=lambda: codes.append(main(
+                ["obs", "top", "--follow", "--interval", "0.05", str(channel)]
+            )),
+            daemon=True,
+        )
+        follower.start()
+        follower.join(timeout=20.0)
+        assert codes == [0], "obs top --follow did not return"
+        out = capsys.readouterr().out
+        assert out.count("sweep done:") == 1 and "[ABORTED]" in out
 
     def test_obs_top_missing_channel_is_usage_error(self, capsys, tmp_path):
         assert main(["obs", "top", str(tmp_path / "nope.jsonl")]) == 2

@@ -103,3 +103,29 @@ def test_tail_polling_concurrent_writers(tmp_path):
     collected.extend(tail.poll())  # drain whatever landed after the loop
     seen = [(e["writer"], e["seq"]) for e in collected]
     assert len(seen) == len(set(seen)) == N_WRITERS * N_RECORDS
+
+
+def test_json_lines_keeps_only_complete_object_lines():
+    import io
+
+    from repro.fsutil import json_lines
+
+    data = (
+        b'{"a": 1}\n'
+        b"\n"  # blank
+        b"   \n"
+        b"\xff\xfe not utf-8\n"
+        b'{"b": "\xff"}\n'  # JSON, but not UTF-8
+        b"not json\n"
+        b"[1, 2]\n"  # JSON, but not an object
+        b'{"c": "\xc3\xa9"}\r\n'
+        b'{"d": 4}'  # torn: no newline yet
+    )
+    assert list(json_lines(io.BytesIO(data))) == [{"a": 1}, {"c": "é"}]
+    assert list(json_lines([])) == []
+
+
+def test_read_json_lines_of_a_missing_file_is_empty(tmp_path):
+    from repro.fsutil import read_json_lines
+
+    assert list(read_json_lines(tmp_path / "nope.jsonl")) == []
