@@ -8,6 +8,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
+echo "== runtime imports: numpy only (networkx and scipy are not dependencies) =="
+if grep -rnE --include='*.py' '^\s*(import|from) (networkx|scipy)\b' src/repro; then
+  echo "import check FAILED: src/repro imports networkx or scipy"
+  exit 1
+fi
+
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 

@@ -34,7 +34,7 @@ from repro._version import __version__
 
 #: Public name -> the module that defines it.  Resolved on first access
 #: (PEP 562), so ``import repro.sweep`` or ``import repro.errors`` does
-#: not pay for the simulator, numpy and networkx.
+#: not pay for the simulator and numpy.
 _EXPORTS = {
     "Application": "repro.deep.application",
     "DeepSystem": "repro.deep",

@@ -14,8 +14,6 @@ from __future__ import annotations
 import zlib
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from repro.errors import RoutingError, TopologyError
 from repro.network.topology import Topology
 
@@ -29,13 +27,13 @@ def dimension_order_route(
     always travelling the shorter way around the ring.  Returns the
     vertex path including the endpoints.
     """
-    g = topo.graph
-    dims = g.graph.get("dims")
+    dims = topo.dims
     if dims is None:
         raise TopologyError("dimension_order_route requires a torus topology")
+    nodes = topo.graph.nodes
     try:
-        c_src = g.nodes[src]["coord"]
-        c_dst = g.nodes[dst]["coord"]
+        c_src = nodes[src]["coord"]
+        c_dst = nodes[dst]["coord"]
     except KeyError as exc:
         raise RoutingError(f"unknown torus endpoint in ({src!r}, {dst!r})") from exc
 
@@ -60,8 +58,8 @@ def _paths_from_predecessors(
 ) -> list[list[str]]:
     """Every shortest path *src* -> *dst* in a BFS predecessor map.
 
-    *pred* is ``nx.predecessor(graph, src)``.  The paths come in the
-    order ``nx.all_shortest_paths`` yields them: depth-first from *dst*,
+    *pred* is ``graph.predecessors(src)``.  The paths come in the order
+    ``networkx.all_shortest_paths`` yields them: depth-first from *dst*,
     taking each node's predecessors in list order.  A BFS map holds no
     cycles, since every predecessor sits one level closer to *src*, so
     the partial paths grow one level at a time and reach *src* together.
@@ -128,7 +126,7 @@ class RoutingTable:
         if self.scheme == "dimension-order":
             import itertools as _it
 
-            ndims = len(self.topo.graph.graph["dims"])
+            ndims = len(self.topo.dims)
             seen: dict[tuple, list[str]] = {}
             for order in _it.permutations(range(ndims)):
                 path = dimension_order_route(self.topo, src, dst, order)
@@ -140,14 +138,13 @@ class RoutingTable:
         return routes
 
     def _shortest_paths(self, src: str, dst: str) -> list[list[str]]:
-        """All equal-cost shortest paths, in ``nx.all_shortest_paths`` order."""
+        """All equal-cost shortest paths, in ``networkx.all_shortest_paths``
+        order."""
         pred = self._preds.get(src)
         if pred is None:
-            try:
-                pred = nx.predecessor(self.topo.graph, src)
-            except nx.NodeNotFound as exc:
-                raise RoutingError(f"no route {src!r} -> {dst!r}") from exc
-            self._preds[src] = pred
+            if src not in self.topo.graph:
+                raise RoutingError(f"no route {src!r} -> {dst!r}")
+            pred = self._preds[src] = self.topo.graph.predecessors(src)
         if dst not in pred:
             raise RoutingError(f"no route {src!r} -> {dst!r}")
         return _paths_from_predecessors(pred, src, dst)

@@ -28,116 +28,61 @@ Quick use::
     graph = CausalGraph.from_trace(sim.trace)
     print(graph.blame().render())
     print(graph.what_if("extoll.bw", 2.0).render())
+
+The names below load on first access (PEP 562), so importing one
+module of the package, as the sweep engine imports
+:mod:`repro.obs.fleet` and the simulator :mod:`repro.obs.metrics`,
+loads that module only.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    log_buckets,
-    merge_histograms,
-)
-from repro.obs.export import (
-    assign_lanes,
-    chrome_trace,
-    iter_jsonl,
-    metrics_dict,
-    render_metrics_text,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics,
-)
-from repro.obs.critpath import (
-    BlameReport,
-    CausalGraph,
-    Segment,
-    Step,
-    WHAT_IF_KEYS,
-    WhatIfResult,
-    classify,
-    resolve_what_if,
-)
-from repro.obs.report import contention_report, link_blame, system_report
-from repro.obs.fleet import (
-    FLEET_INDEX_ENV,
-    FleetIndex,
-    RunManifest,
-    build_manifest,
-    manifest_from_exports,
-    manifest_from_system,
-)
-from repro.obs.compare import (
-    DEFAULT_TOLERANCES,
-    DiffReport,
-    SliceAggregate,
-    Stats,
-    aggregate_slice,
-    diff_slices,
-    mean_ci,
-    run_sentinel,
-    slice_runs,
-    write_baselines,
-)
-from repro.obs.timeline import (
-    chrome_counter_events,
-    counter_series,
-    resample,
-    write_counters_csv,
-)
+import importlib
 
-__all__ = [
-    "BlameReport",
-    "CausalGraph",
-    "Counter",
-    "DEFAULT_TOLERANCES",
-    "DiffReport",
-    "FLEET_INDEX_ENV",
-    "FleetIndex",
-    "RunManifest",
-    "SliceAggregate",
-    "Stats",
-    "aggregate_slice",
-    "build_manifest",
-    "diff_slices",
-    "manifest_from_exports",
-    "manifest_from_system",
-    "mean_ci",
-    "run_sentinel",
-    "slice_runs",
-    "write_baselines",
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetrics",
-    "Segment",
-    "Step",
-    "WHAT_IF_KEYS",
-    "WhatIfResult",
-    "assign_lanes",
-    "chrome_counter_events",
-    "chrome_trace",
-    "classify",
-    "contention_report",
-    "counter_series",
-    "iter_jsonl",
-    "link_blame",
-    "log_buckets",
-    "merge_histograms",
-    "metrics_dict",
-    "render_metrics_text",
-    "resample",
-    "resolve_what_if",
-    "system_report",
-    "write_chrome_trace",
-    "write_counters_csv",
-    "write_jsonl",
-    "write_metrics",
-]
+#: Public name -> the module that defines it, resolved on first access.
+_EXPORTS = {
+    name: f"repro.obs.{module}"
+    for module, names in {
+        "compare": (
+            "DEFAULT_TOLERANCES", "DiffReport", "SliceAggregate", "Stats",
+            "aggregate_slice", "diff_slices", "mean_ci", "run_sentinel",
+            "slice_runs", "write_baselines",
+        ),
+        "critpath": (
+            "BlameReport", "CausalGraph", "Segment", "Step", "WHAT_IF_KEYS",
+            "WhatIfResult", "classify", "resolve_what_if",
+        ),
+        "export": (
+            "assign_lanes", "chrome_trace", "iter_jsonl", "metrics_dict",
+            "render_metrics_text", "write_chrome_trace", "write_jsonl",
+            "write_metrics",
+        ),
+        "fleet": (
+            "FLEET_INDEX_ENV", "FleetIndex", "RunManifest", "build_manifest",
+            "manifest_from_exports", "manifest_from_system",
+        ),
+        "metrics": (
+            "Counter", "DEFAULT_SIZE_BUCKETS", "DEFAULT_TIME_BUCKETS", "Gauge",
+            "Histogram", "MetricsRegistry", "NULL_METRICS", "NullMetrics",
+            "log_buckets", "merge_histograms",
+        ),
+        "report": ("contention_report", "link_blame", "system_report"),
+        "timeline": (
+            "chrome_counter_events", "counter_series", "resample",
+            "write_counters_csv",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -30,7 +30,9 @@ The failure records (``job.retry`` / ``job.timeout`` /
 ``job.quarantine`` / ``pool.restart``) come from the engine's
 :class:`~repro.sweep.policy.FailurePolicy` layer: a retried job goes
 back to queued (its next ``job.submit``/``job.start`` carries a higher
-attempt), a quarantined job leaves the fleet for good.
+attempt), a quarantined job leaves the fleet for good.  An attempt
+still open at ``sweep.end`` raised out of the sweep; it goes back to
+queued the same way.
 
 Every record carries ``schema`` and an epoch-seconds ``t`` so events
 from different processes order on one axis.  **Telemetry is strictly
@@ -227,6 +229,12 @@ class FleetState:
             self.aborted = self.aborted or bool(event.get("aborted"))
             for key, value in (event.get("cache") or {}).items():
                 self.cache_counts[key] = int(value)
+            # An attempt still open raised out of the sweep: no job.end,
+            # job.retry or job.quarantine closes it.  It leaves its
+            # worker as a retried attempt does.
+            for job in self.running():
+                job.t_start = None
+                job.worker = None
             return
         if kind == "pool.restart":
             self.n_pool_restarts += 1

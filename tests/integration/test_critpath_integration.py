@@ -13,6 +13,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 from time import perf_counter
 
 import pytest
@@ -189,8 +190,8 @@ class TestEnabledOverheadSanity:
     def test_tracing_on_is_not_catastrophic(self):
         """Loose sanity bound: the per-event tagging cost with tracing
         *enabled* stays within 2x of the disabled path on a bare event
-        loop (the strict disabled-path budget lives in
-        scripts/bench_regression.py)."""
+        loop, as the median ratio of 9 paired runs (the strict
+        disabled-path budget lives in scripts/bench_regression.py)."""
 
         def loop(trace):
             sim = Simulator(trace=trace)
@@ -205,6 +206,13 @@ class TestEnabledOverheadSanity:
             sim.run()
             return perf_counter() - t0
 
-        off = min(loop(False) for _ in range(3))
-        on = min(loop(True) for _ in range(3))
-        assert on < 2.0 * max(off, 1e-6)
+        ratios = []
+        for i in range(9):
+            # Each pair runs both sides back to back, alternating which
+            # goes first, so a burst of host load lands on both.
+            if i % 2:
+                on, off = loop(True), loop(False)
+            else:
+                off, on = loop(False), loop(True)
+            ratios.append(on / max(off, 1e-6))
+        assert median(ratios) < 2.0

@@ -178,7 +178,3 @@ def test_torus_diameter():
     # Max 2 hops per dimension with wraparound.
     assert topo.diameter_hops() == 4
 
-
-def test_bisection_edges_torus():
-    topo = torus_topology((4, 4))
-    assert topo.bisection_edges() >= 8

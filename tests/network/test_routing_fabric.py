@@ -15,6 +15,7 @@ from repro.network import (
     dimension_order_route,
     fat_tree_topology,
     star_topology,
+    topology,
     torus_topology,
 )
 from repro.simkernel import Simulator
@@ -77,17 +78,39 @@ SHORTEST_TOPOLOGIES = {
     "all-to-all": lambda: all_to_all_topology([f"n{i}" for i in range(6)]),
 }
 
+#: Every builder, for the networkx oracle: a fat tree on one leaf has
+#: no spines, and the 3x4x2 torus has equal-cost paths in two of its
+#: dimensions.
+ORACLE_TOPOLOGIES = {
+    **SHORTEST_TOPOLOGIES,
+    "single-leaf-fat-tree": lambda: fat_tree_topology([f"cn{i}" for i in range(5)]),
+    "torus": lambda: torus_topology((3, 4, 2)),
+}
+
 
 def ordered_pairs(topo):
     return [(a, b) for a in topo.endpoints for b in topo.endpoints if a != b]
 
 
-@pytest.mark.parametrize("name", sorted(SHORTEST_TOPOLOGIES))
-def test_shortest_routes_equal_networkx_all_shortest_paths(name):
-    topo = SHORTEST_TOPOLOGIES[name]()
+def networkx_twin(build, monkeypatch):
+    """*build*'s topology made of the same ``add_node``/``add_edge``
+    calls on a ``networkx.Graph``."""
+    with monkeypatch.context() as m:
+        m.setattr(topology, "Graph", nx.Graph, raising=False)
+        return build()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
+def test_shortest_routes_equal_networkx_all_shortest_paths(name, monkeypatch):
+    build = ORACLE_TOPOLOGIES[name]
+    topo, twin = build(), networkx_twin(build, monkeypatch)
+    assert isinstance(twin.graph, nx.Graph)
+    assert list(topo.graph.nodes) == list(twin.graph.nodes)
+    # Fabrics create their links in edge order.
+    assert list(topo.graph.edges) == list(twin.graph.edges)
     rt = RoutingTable(topo)
     for src, dst in ordered_pairs(topo):
-        paths = list(nx.all_shortest_paths(topo.graph, src, dst))
+        paths = list(nx.all_shortest_paths(twin.graph, src, dst))
         assert rt.candidate_routes(src, dst) == paths
         pick = zlib.crc32(f"{src}->{dst}".encode()) % len(paths)
         assert rt.route(src, dst) == paths[pick]
@@ -97,13 +120,13 @@ def test_shortest_routes_equal_networkx_all_shortest_paths(name):
 def test_routing_table_runs_one_bfs_per_source(name, monkeypatch):
     topo = SHORTEST_TOPOLOGIES[name]()
     sources = []
-    bfs = nx.predecessor
+    bfs = topology.Graph.predecessors
 
-    def counting_bfs(graph, source, *args, **kwargs):
+    def counting_bfs(graph, source):
         sources.append(source)
-        return bfs(graph, source, *args, **kwargs)
+        return bfs(graph, source)
 
-    monkeypatch.setattr(nx, "predecessor", counting_bfs)
+    monkeypatch.setattr(topology.Graph, "predecessors", counting_bfs)
     rt = RoutingTable(topo)
     for src, dst in ordered_pairs(topo):
         rt.route(src, dst)
@@ -118,14 +141,12 @@ def test_routing_table_unknown_scheme():
 
 
 def test_routing_no_route():
-    import networkx as nx
-
-    from repro.network.topology import Topology
-
-    g = nx.Graph()
+    g = topology.Graph()
     g.add_node("a", kind="endpoint")
     g.add_node("b", kind="endpoint")
-    topo = Topology(g)
+    topo = topology.Topology(g)
+    with pytest.raises(TopologyError, match="not connected"):
+        topo.validate_connected()
     rt = RoutingTable(topo)
     with pytest.raises(RoutingError):
         rt.route("a", "b")

@@ -594,6 +594,29 @@ class TestFailureFolding:
         assert state.aborted is True
         assert snapshot(state)["failures"]["aborted"] is True
 
+    def test_aborted_sweep_end_closes_the_attempt_that_raised(self):
+        # Without a failure policy the attempt that raises writes
+        # job.start and no job.end; the aborted sweep.end follows.
+        events = [
+            {"schema": 1, "kind": "sweep.start", "t": 100.0, "n_jobs": 2,
+             "n_workers": 1, "experiments": ["collective_scale"]},
+            {"schema": 1, "kind": "job.submit", "t": 100.1, "job": 0,
+             "digest": "d0", "experiment": "collective_scale", "seed": 0},
+            {"schema": 1, "kind": "job.start", "t": 100.2, "job": 0,
+             "worker": 0},
+            {"schema": 1, "kind": "sweep.end", "t": 101.0, "aborted": True,
+             "cache": {"hits": 0, "misses": 2, "corrupt": 0, "stores": 0,
+                       "bytes_promoted": 0}},
+        ]
+        assert [j.index for j in FleetState().apply_all(events[:-1]).running()] == [0]
+        state = FleetState().apply_all(events)
+        assert state.running() == [] and state.workers() == []
+        snap = snapshot(state)
+        assert (snap["n_completed"], snap["n_running"], snap["n_queued"]) == (0, 0, 2)
+        text = render_top(snap)
+        assert "0/2 jobs  (0 running, 2 queued" in text and "[ABORTED]" in text
+        assert "running collective_scale" not in text
+
     def test_render_top_failure_line(self):
         text = render_top(snapshot(FleetState().apply_all(failure_events())))
         assert "failures: 1 retries, 1 timeouts, 1 pool restarts, " \

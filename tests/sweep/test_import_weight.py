@@ -1,9 +1,12 @@
-"""A cache-served sweep must not load the simulator.
+"""A sweep imports only what its jobs run.
 
-Each check runs in a fresh interpreter, so modules the test process
-already imported cannot hide an eager import.
+A cache-served sweep must not load the simulator, and a job (what a
+pool worker runs) must load neither networkx nor the analysis half of
+:mod:`repro.obs`.  Each check runs in a fresh interpreter, so modules
+the test process already imported cannot hide an eager import.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +22,23 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: What a fully cache-served sweep has no use for.
 HEAVY = ("numpy", "networkx", "repro.simkernel", "repro.network", "repro.mpi",
          "repro.deep")
+
+#: The modules of :mod:`repro.obs` that only analyses and exports use.
+OBS_ANALYSIS = tuple(
+    f"repro.obs.{name}"
+    for name in ("critpath", "compare", "export", "report", "timeline")
+)
+
+#: One small job of each experiment.
+TINY = {
+    "alltoall_bridge": {"n_cluster": 2, "n_booster": 2, "payload_kib": 4},
+    "checkpoint_resilience": {"work_s": 200.0, "mtbf_s": 120.0},
+    "collective_scale": {"ranks": 8},
+    "coupled_modes": {"n_booster": 4, "slabs": 4, "slab_mib": 1},
+    "offload_stencil": {"n_booster": 4, "tiles": 4, "sweeps": 1},
+    "pingpong": {"rounds": 1, "sizes_kib": [1], "n_pairs": 1},
+    "spawn_cost": {"n_children": 4, "n_booster": 8},
+}
 
 SPEC = dict(
     experiments=["pingpong", "checkpoint_resilience"],
@@ -93,3 +113,56 @@ def test_unknown_attribute_still_raises():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name
+
+
+def test_jobs_of_every_experiment_load_no_networkx():
+    probe = """
+import json, sys
+overrides, obs_analysis = json.loads(sys.argv[1])
+import repro.sweep
+loaded = {"import": [m for m in obs_analysis if m in sys.modules]}
+from repro.sweep import SweepSpec, run_sweep
+report = run_sweep(SweepSpec(experiments=sorted(overrides), seeds=[0],
+                             overrides=overrides))
+loaded["jobs"] = [m for m in (*obs_analysis, "networkx", "scipy")
+                  if m in sys.modules]
+print(json.dumps({
+    "loaded": loaded,
+    "ran": sorted(r.job.experiment for r in report.results if not r.cached),
+    "simulator": "repro.network.routing" in sys.modules,
+}))
+"""
+    from repro.sweep.experiments import experiment_names
+
+    assert sorted(TINY) == experiment_names()
+    out = json.loads(run_fresh(probe, json.dumps([TINY, OBS_ANALYSIS])))
+    assert out["ran"] == sorted(TINY)
+    assert out["simulator"] is True
+    assert out["loaded"] == {"import": [], "jobs": []}
+
+
+def test_obs_names_resolve_on_first_access():
+    probe = """
+import json, sys
+import repro.obs
+loaded = sorted(m for m in sys.modules if m.startswith("repro.obs."))
+from repro.obs import CausalGraph
+print(json.dumps({
+    "import": loaded,
+    "first": sorted(m for m in sys.modules if m.startswith("repro.obs.")),
+}))
+"""
+    out = json.loads(run_fresh(probe))
+    assert out == {"import": [], "first": ["repro.obs.critpath"]}
+
+    import repro.obs
+
+    for name in repro.obs.__all__:
+        module = importlib.import_module(repro.obs._EXPORTS[name])
+        assert getattr(repro.obs, name) is getattr(module, name)
+    assert set(repro.obs.__all__) <= set(dir(repro.obs))
+    from repro.obs import compare
+
+    assert compare.__name__ == "repro.obs.compare"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.obs.no_such_name
