@@ -14,6 +14,9 @@ if grep -rnE --include='*.py' '^\s*(import|from) (networkx|scipy)\b' src/repro; 
   exit 1
 fi
 
+echo "== object lifetimes: every finished sweep experiment is freed by reference counting =="
+python -m pytest -q tests/integration/test_object_lifetimes.py
+
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 

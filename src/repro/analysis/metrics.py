@@ -51,8 +51,3 @@ def energy_to_solution(power_watts: float, time_s: float) -> float:
     if power_watts < 0 or time_s < 0:
         raise ConfigurationError("power and time must be >= 0")
     return power_watts * time_s
-
-
-def energy_delay_product(energy_j: float, time_s: float) -> float:
-    """EDP: the usual efficiency-vs-speed compromise metric."""
-    return energy_j * time_s

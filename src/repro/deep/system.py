@@ -220,10 +220,3 @@ class DeepSystem:
         return self.causal_graph().what_if(
             key, factor, smfu_model=self.machine.bridge
         )
-
-    def write_blame(self, path) -> None:
-        """Write ``blame_report().as_dict()`` as JSON to *path*
-        (atomic, parent directories created)."""
-        from repro.fsutil import atomic_write_json
-
-        atomic_write_json(path, self.blame_report().as_dict())

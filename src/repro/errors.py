@@ -35,6 +35,17 @@ class ProcessKilled(SimulationError):
     """Injected into a simulated process that has been killed."""
 
 
+class OwnerFreedError(ReproError):
+    """A part of a simulation was used after its owner was freed.
+
+    Owners hold their parts and parts hold their owners only weakly (a
+    simulator its trace recorder, a fabric its interfaces, an MPI world
+    its ranks and communicators), so a finished simulation is freed by
+    reference counting.  A caller therefore keeps the owners referenced
+    while it uses their parts.
+    """
+
+
 class ConfigurationError(ReproError):
     """An invalid machine, network, or runtime configuration."""
 

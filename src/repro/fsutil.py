@@ -55,12 +55,6 @@ def atomic_open(path: PathLike, mode: str = "w") -> Iterator[Any]:
         raise
 
 
-def atomic_write_text(path: PathLike, text: str) -> None:
-    """Atomically write *text* to *path* (parents created)."""
-    with atomic_open(path, "w") as fh:
-        fh.write(text)
-
-
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     """Atomically write *data* to *path* (parents created)."""
     with atomic_open(path, "wb") as fh:

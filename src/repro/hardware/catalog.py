@@ -155,21 +155,3 @@ def booster_interface_spec(overhead_watts: float = 25.0) -> NodeSpec:
         ),
         pcie=None,
     )
-
-
-def accelerated_node_spec(
-    host: ProcessorSpec = XEON_E5_2680_DUAL,
-    pcie: PCIeSpec = PCIeSpec(PCIeGeneration.GEN2, 16),
-    overhead_watts: float = 60.0,
-) -> NodeSpec:
-    """A host node of the accelerated-cluster baseline (slides 6/7)."""
-    return NodeSpec(
-        kind=NodeKind.CLUSTER,
-        processor=host,
-        power=PowerModel(
-            idle_watts=host.idle_watts,
-            busy_watts=host.tdp_watts,
-            overhead_watts=overhead_watts,
-        ),
-        pcie=pcie,
-    )

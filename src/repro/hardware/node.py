@@ -96,7 +96,7 @@ class Node:
                 f"{self.name} has no PCIe slot configured for accelerators"
             )
         self.accelerators.append(acc)
-        acc.host = self
+        acc.host_name = self.name
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name}>"
@@ -147,7 +147,9 @@ class Accelerator:
         self.acc_id = acc_id
         self.name = name or f"acc{acc_id}"
         self.processor = Processor(sim, spec, name=f"{self.name}.dev")
-        self.host: Optional[Node] = None
+        #: Name of the host node (the host owns its devices, so a device
+        #: keeps its host's name rather than the node).
+        self.host_name: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Accelerator {self.name} on {self.host.name if self.host else '?'}>"
+        return f"<Accelerator {self.name} on {self.host_name or '?'}>"

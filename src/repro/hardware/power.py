@@ -66,10 +66,3 @@ class EnergyMeter:
             return 0.0
         u = self.processor.utilization(since=self._start)
         return self.model.power(u) * elapsed
-
-    def mean_power_watts(self) -> float:
-        """Mean power since meter creation."""
-        elapsed = self.sim.now - self._start
-        if elapsed <= 0:
-            return self.model.power(0.0)
-        return self.energy_joules() / elapsed

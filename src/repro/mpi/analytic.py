@@ -224,10 +224,14 @@ class AnalyticCollectiveEngine:
     Completion fires ``collective_time(...)`` after the **last**
     arrival — the first-order behaviour of the exact algorithms, where
     stragglers stall round one for everyone.
+
+    The world owns its engine, and every call names a communicator
+    that leads back to the world, so the engine keeps no reference to
+    it.
     """
 
     def __init__(self, world: "MPIWorld") -> None:
-        self.world = world
+        self.sim = world.sim
         self._pending: dict[tuple, _Rendezvous] = {}
         #: fabric id -> calibrated per-fabric cost model
         self._fabric_models: dict[int, CollectiveCostModel] = {}
@@ -236,7 +240,9 @@ class AnalyticCollectiveEngine:
         self._m_coll = world.sim.metrics.counter("mpi.analytic_collectives")
 
     # -- calibration ----------------------------------------------------
-    def _fabric_model(self, fabric, src: str, dst: str) -> CollectiveCostModel:
+    def _fabric_model(
+        self, fabric, src: str, dst: str, eager_threshold: int
+    ) -> CollectiveCostModel:
         key = (id(fabric), src, dst)
         model = self._fabric_models.get(key)
         if model is None:
@@ -244,7 +250,7 @@ class AnalyticCollectiveEngine:
 
             model = CollectiveCostModel(
                 collective_loggp(fabric, src, dst),
-                eager_threshold=self.world.eager_threshold,
+                eager_threshold=eager_threshold,
             )
             self._fabric_models[key] = model
         return model
@@ -256,7 +262,7 @@ class AnalyticCollectiveEngine:
         model = self._comm_models.get(key)
         if model is not None:
             return model
-        world = self.world
+        world = comm.world
         transport = world.transport
         endpoints = [world.endpoint_of(g) for g in comm.group.gpids]
         fabrics = []
@@ -281,7 +287,7 @@ class AnalyticCollectiveEngine:
                 (near, far),
                 key=lambda ep: fab.ideal_transfer_time(src, ep, probe),
             )
-            model = self._fabric_model(fab, src, dst)
+            model = self._fabric_model(fab, src, dst, world.eager_threshold)
         else:
             # Mixed cluster/booster communicator: charge the calibrated
             # bridged-pair cost uniformly (conservative — intra-fabric
@@ -325,7 +331,7 @@ class AnalyticCollectiveEngine:
         n = comm.size
         if n == 1:
             return {comm.rank: contribution}
-        sim = self.world.sim
+        sim = self.sim
         seq = getattr(comm, "_analytic_seq", 0) + 1
         comm._analytic_seq = seq
         key = (comm.context_id, comm.group.gpid_of(0), op, seq)

@@ -13,9 +13,10 @@ inter-communicator back to the Cluster.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import CommunicatorError, RankError
+from repro.errors import CommunicatorError, OwnerFreedError, RankError
 from repro.mpi import collectives as coll
 from repro.mpi.group import Group
 from repro.mpi.ops import Op, SUM
@@ -27,7 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Communicator:
-    """An intra-communicator as seen by one rank."""
+    """An intra-communicator as seen by one rank.
+
+    A rank owns its communicators (its world owns the rank), so a
+    communicator holds its process and world only weakly; it keeps the
+    rank's gpid, which every send and receive reads.
+    """
 
     is_inter = False
 
@@ -42,17 +48,40 @@ class Communicator:
             raise CommunicatorError(
                 f"process {proc.gpid} is not a member of this communicator"
             )
-        self.world = world
-        self.proc = proc
+        self._world = weakref.ref(world)
+        self._proc = weakref.ref(proc)
+        self._gpid = proc.gpid
         self.group = group
         self.context_id = context_id
         self._coll_seq = 0
+
+    @property
+    def world(self) -> "MPIWorld":
+        """The MPI universe of this communicator."""
+        world = self._world()
+        if world is None:
+            raise OwnerFreedError(
+                f"communicator (context {self.context_id}) used after its "
+                f"MPIWorld was freed"
+            )
+        return world
+
+    @property
+    def proc(self) -> "MPIProcess":
+        """The rank's process handle this communicator belongs to."""
+        proc = self._proc()
+        if proc is None:
+            raise OwnerFreedError(
+                f"communicator (context {self.context_id}) used after its "
+                f"MPI process {self._gpid} was freed"
+            )
+        return proc
 
     # -- identity -----------------------------------------------------------
     @property
     def rank(self) -> int:
         """This process's rank in the communicator."""
-        return self.group.rank_of(self.proc.gpid)
+        return self.group.rank_of(self._gpid)
 
     @property
     def size(self) -> int:

@@ -14,11 +14,13 @@ communication method on the handle is a generator to ``yield from``.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import (
     CommunicatorError,
     MPIError,
+    OwnerFreedError,
     RankError,
     RoutingError,
     SpawnError,
@@ -97,7 +99,12 @@ class Transport:
 
 
 class MPIProcess:
-    """Per-rank MPI handle (think: this rank's libmpi state)."""
+    """Per-rank MPI handle (think: this rank's libmpi state).
+
+    The world owns its ranks, so a rank holds its world only weakly:
+    the caller keeps the :class:`MPIWorld` referenced while the ranks
+    run.
+    """
 
     def __init__(
         self,
@@ -106,7 +113,7 @@ class MPIProcess:
         endpoint: str,
         node: Optional["Node"] = None,
     ) -> None:
-        self.world = world
+        self._world = weakref.ref(world)
         self.sim = world.sim
         self.gpid = gpid
         self.endpoint = endpoint
@@ -125,6 +132,18 @@ class MPIProcess:
         #: Intercommunicator to the spawning parents, if this process
         #: was created by ``MPI_Comm_spawn``.
         self.parent_comm: Optional["Intercommunicator"] = None
+
+    @property
+    def world(self) -> "MPIWorld":
+        """The MPI universe this rank belongs to."""
+        world = self._world()
+        if world is None:
+            raise OwnerFreedError(
+                f"MPI process {self.gpid} at {self.endpoint!r} used after "
+                f"its MPIWorld was freed; keep the world referenced while "
+                f"its ranks run"
+            )
+        return world
 
     # -- compute -----------------------------------------------------------
     def compute(self, flops: float, traffic_bytes: float = 0.0, n_cores: int = 1):
@@ -154,11 +173,11 @@ class MPIProcess:
         """
         if size_bytes < 0:
             raise MPIError(f"negative message size {size_bytes}")
+        world = self.world
         dst_gpid = comm.remote_gpid(dest)
-        dst_ep = self.world.endpoint_of(dst_gpid)
+        dst_ep = world.endpoint_of(dst_gpid)
         my_rank = comm.rank
         seq = next(self._seq)
-        world = self.world
         world._m_sent.add(1)
         world._m_sent_bytes.add(size_bytes)
         tr = self.sim.trace
@@ -167,7 +186,8 @@ class MPIProcess:
                 "mpi.send", src_rank=my_rank, dest=dest, size=size_bytes,
                 tag=tag, context=comm.context_id,
             )
-        if size_bytes <= self.world.eager_threshold:
+        transport = world.transport
+        if size_bytes <= world.eager_threshold:
             header = PacketHeader(
                 "eager", comm.context_id, self.gpid, dst_gpid, my_rank,
                 tag, seq, size_bytes, value,
@@ -176,14 +196,14 @@ class MPIProcess:
                 src=self.endpoint, dst=dst_ep,
                 size_bytes=size_bytes + HEADER_BYTES, payload=header,
             )
-            yield from self.world.transport.send_message(msg)
+            yield from transport.send_message(msg)
             return
         # Rendezvous: RTS -> (wait CTS) -> DATA.
         rts = PacketHeader(
             "rts", comm.context_id, self.gpid, dst_gpid, my_rank,
             tag, seq, size_bytes,
         )
-        yield from self.world.transport.send_message(
+        yield from transport.send_message(
             Message(src=self.endpoint, dst=dst_ep, size_bytes=HEADER_BYTES, payload=rts)
         )
         yield self._inbox.get(key=protocol_key(self.gpid, "cts", dst_gpid, seq))
@@ -191,7 +211,7 @@ class MPIProcess:
             "data", comm.context_id, self.gpid, dst_gpid, my_rank,
             tag, seq, size_bytes, value,
         )
-        yield from self.world.transport.send_message(
+        yield from transport.send_message(
             Message(
                 src=self.endpoint, dst=dst_ep,
                 size_bytes=size_bytes + HEADER_BYTES, payload=data,
@@ -211,7 +231,8 @@ class MPIProcess:
             msg = yield self._inbox.get(make_match(self.gpid, ctx, src_gpid, tag))
         else:
             msg = yield self._inbox.get(key=envelope_key(self.gpid, ctx, src_gpid, tag))
-        self.world._m_matched.add(1)
+        world = self.world
+        world._m_matched.add(1)
         header: PacketHeader = msg.payload
         overhead = self._iface.recv_overhead_s
         if overhead > 0:
@@ -223,8 +244,8 @@ class MPIProcess:
             "cts", header.context_id, self.gpid, header.src_gpid,
             -1, header.tag, header.seq, HEADER_BYTES,
         )
-        src_ep = self.world.endpoint_of(header.src_gpid)
-        yield from self.world.transport.send_message(
+        src_ep = world.endpoint_of(header.src_gpid)
+        yield from world.transport.send_message(
             Message(src=self.endpoint, dst=src_ep, size_bytes=HEADER_BYTES, payload=cts)
         )
         data_msg = yield self._inbox.get(

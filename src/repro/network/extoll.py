@@ -202,22 +202,7 @@ def balanced_dims(n: int, ndims: int = 3) -> tuple[int, ...]:
     if n < 1:
         raise ConfigurationError(f"need n >= 1, got {n}")
     best: tuple[int, ...] = (n,) + (1,) * (ndims - 1)
-
-    def search(remaining: int, dims_left: int, start: int) -> list[tuple[int, ...]]:
-        if dims_left == 1:
-            return [(remaining,)]
-        shapes = []
-        d = start
-        while d * d <= remaining ** dims_left:  # generous bound
-            if d > remaining:
-                break
-            if remaining % d == 0:
-                for rest in search(remaining // d, dims_left - 1, d):
-                    shapes.append((d,) + rest)
-            d += 1
-        return shapes
-
-    candidates = search(n, ndims, 1)
+    candidates = _factorisations(n, ndims, 1)
     if candidates:
         # Most cubic = smallest max/min ratio, then smallest max.
         def score(shape: tuple[int, ...]) -> tuple[float, int]:
@@ -225,3 +210,23 @@ def balanced_dims(n: int, ndims: int = 3) -> tuple[int, ...]:
 
         best = min(candidates, key=score)
     return tuple(sorted(best, reverse=True))
+
+
+def _factorisations(
+    remaining: int, dims_left: int, start: int
+) -> list[tuple[int, ...]]:
+    """Non-decreasing factor tuples of *remaining* with *dims_left*
+    factors, the first at least *start* (a module-level function: a
+    self-recursive closure is a reference cycle)."""
+    if dims_left == 1:
+        return [(remaining,)]
+    shapes = []
+    d = start
+    while d * d <= remaining ** dims_left:  # generous bound
+        if d > remaining:
+            break
+        if remaining % d == 0:
+            for rest in _factorisations(remaining // d, dims_left - 1, d):
+                shapes.append((d,) + rest)
+        d += 1
+    return shapes

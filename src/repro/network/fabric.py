@@ -13,9 +13,10 @@ hops: ``o_send + h * L + n / min(B_i) (+ error penalties) + o_recv``.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, OwnerFreedError, RoutingError
 from repro.network.link import Link, LinkSpec
 from repro.network.message import Message, TransferRecord
 from repro.network.routing import RoutingTable
@@ -31,7 +32,9 @@ class NetworkInterface:
     """A node's port on one fabric.
 
     Holds the node's inbox (a matched :class:`Channel` the transport
-    layer receives from) and the host-side injection overheads.
+    layer receives from) and the host-side injection overheads.  The
+    fabric owns its interfaces, so an interface holds its fabric only
+    weakly: the caller keeps the fabric referenced while it sends.
     """
 
     def __init__(
@@ -43,7 +46,8 @@ class NetworkInterface:
         recv_overhead_s: float,
     ) -> None:
         self.sim = sim
-        self.fabric = fabric
+        self._fabric = weakref.ref(fabric)
+        self._fabric_name = fabric.name
         self.endpoint = endpoint
         self.send_overhead_s = send_overhead_s
         self.recv_overhead_s = recv_overhead_s
@@ -52,6 +56,17 @@ class NetworkInterface:
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    @property
+    def fabric(self) -> "Fabric":
+        """The fabric this interface is attached to."""
+        fabric = self._fabric()
+        if fabric is None:
+            raise OwnerFreedError(
+                f"interface {self.endpoint!r} used after its fabric "
+                f"{self._fabric_name!r} was freed"
+            )
+        return fabric
+
     def send(self, msg: Message):
         """Generator: inject *msg* and complete when it is delivered.
 
@@ -59,16 +74,17 @@ class NetworkInterface:
         posting the descriptor), then the fabric transfer runs, then
         the message lands in the destination inbox.
         """
+        fabric = self.fabric
         msg.src = self.endpoint
         msg.sent_at = self.sim.now
         if self.send_overhead_s > 0:
             yield self.sim.timeout(self.send_overhead_s)
-        record = yield from self.fabric.transfer(
+        record = yield from fabric.transfer(
             self.endpoint, msg.dst, msg.size_bytes, kind=msg.kind
         )
         msg.received_at = self.sim.now
         self.bytes_sent += msg.size_bytes
-        dst_iface = self.fabric.interface(msg.dst)
+        dst_iface = fabric.interface(msg.dst)
         dst_iface.bytes_received += msg.size_bytes
         dst_iface.inbox.deliver(msg)
         return record

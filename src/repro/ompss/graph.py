@@ -247,10 +247,6 @@ class TaskGraph:
         return max(total, 8)
 
     # -- analysis --------------------------------------------------------------
-    def topological_order(self) -> list[Task]:
-        """Tasks in dependency order (program order is already one)."""
-        return list(self.tasks)
-
     def validate_acyclic(self) -> None:
         """Raise :class:`DependencyCycleError` if edges violate program order.
 

@@ -101,13 +101,6 @@ def ascii_gantt(
     return "\n".join(lines)
 
 
-def to_rows(
-    intervals: Sequence[TraceInterval],
-) -> list[tuple[int, str, float, float]]:
-    """Plain tuples (task_id, name, start, end) for external tooling."""
-    return [(iv.task_id, iv.name, iv.start, iv.end) for iv in intervals]
-
-
 def to_chrome_trace(
     intervals: Sequence[TraceInterval], process_name: str = "ompss"
 ) -> list[dict]:

@@ -54,11 +54,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event this process is blocked on, if any."""
-        return self._target
-
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process.
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop, heappush
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError, OwnerFreedError, SimulationError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.simkernel.event import AllOf, AnyOf, Event, Timeout
 from repro.simkernel.process import Process, ProcessGenerator
@@ -40,7 +41,7 @@ class Simulator:
     __slots__ = (
         "now", "_queue", "_eid", "_active_process", "_live_processes",
         "_events_processed", "_profiled_resources", "profile", "rng", "trace",
-        "metrics",
+        "metrics", "__weakref__",
     )
 
     def __init__(
@@ -65,10 +66,14 @@ class Simulator:
         self._profiled_resources: list[Any] = []
         #: Named deterministic random streams.
         self.rng = RandomStreams(seed)
-        #: Trace recorder (disabled unless ``trace=True``).
+        #: Trace recorder (disabled unless ``trace=True``).  It reads
+        #: the clock and the active process through a weak reference:
+        #: the simulator owns its recorder, so the recorder must not
+        #: keep the simulator alive.
         self.trace = TraceRecorder(enabled=trace, max_events=max_trace_events)
-        self.trace.bind_clock(lambda: self.now)
-        self.trace.bind_active(lambda: self._active_process)
+        clock, active = _weak_sources(weakref.ref(self))
+        self.trace.bind_clock(clock)
+        self.trace.bind_active(active)
         #: Metrics registry (the shared no-op unless ``metrics`` is set).
         if isinstance(metrics, MetricsRegistry):
             self.metrics = metrics
@@ -247,3 +252,30 @@ class Simulator:
             "live_processes": self._live_processes,
             "resources": resources,
         }
+
+
+def _weak_sources(
+    sim_ref: "weakref.ref[Simulator]",
+) -> tuple[Callable[[], float], Callable[[], Optional[Process]]]:
+    """Clock and active-process readers that hold their simulator weakly."""
+
+    def clock() -> float:
+        sim = sim_ref()
+        if sim is None:
+            raise _freed()
+        return sim.now
+
+    def active() -> Optional[Process]:
+        sim = sim_ref()
+        if sim is None:
+            raise _freed()
+        return sim._active_process
+
+    return clock, active
+
+
+def _freed() -> OwnerFreedError:
+    return OwnerFreedError(
+        "trace recorder used after its Simulator was freed; keep the "
+        "Simulator referenced while recording"
+    )

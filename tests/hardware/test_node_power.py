@@ -65,7 +65,7 @@ def test_accelerator_attaches_to_host(sim):
     node = ClusterNode(sim, cluster_node_spec(), 0)
     acc = Accelerator(sim, GPU_K20X, 0)
     node.attach_accelerator(acc)
-    assert acc.host is node
+    assert acc.host_name == node.name
     assert node.accelerators == [acc]
 
 

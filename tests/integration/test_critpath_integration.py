@@ -10,6 +10,7 @@ kernel baseline; here we only sanity-bound the *enabled* overhead.
 
 import dataclasses
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -120,12 +121,18 @@ class TestWhatIfVsResimulation:
 
 class TestDeterminismAndPerturbation:
     def test_check_determinism_script_passes_with_tagging(self):
+        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        # A minimal environment, but the caller's no-bytecode setting
+        # carries through: without it the script writes .pyc files
+        # under src/.
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" / "check_determinism.py")],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "deterministic (observability on)" in proc.stdout
