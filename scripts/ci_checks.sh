@@ -8,11 +8,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== runtime imports: numpy only (networkx and scipy are not dependencies) =="
+echo "== runtime imports: no networkx or scipy, and each sweep role loads only what it runs =="
 if grep -rnE --include='*.py' '^\s*(import|from) (networkx|scipy)\b' src/repro; then
   echo "import check FAILED: src/repro imports networkx or scipy"
   exit 1
 fi
+python -m pytest -q tests/sweep/test_import_weight.py
 
 echo "== object lifetimes: every finished sweep experiment is freed by reference counting =="
 python -m pytest -q tests/integration/test_object_lifetimes.py

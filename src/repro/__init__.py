@@ -62,16 +62,30 @@ _SUBMODULES = frozenset({
 __all__ = sorted([*_EXPORTS, "__version__"])
 
 
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+def _lazy_attributes(namespace: dict, exports: dict, submodules: frozenset):
+    """The PEP 562 ``(__getattr__, __dir__)`` of a package whose
+    globals are *namespace*.
+
+    A name of *exports* (name -> the module that defines it) or of
+    *submodules* loads on first access and is then kept in *namespace*,
+    so the next access is a plain global lookup.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name in exports:
+            value = getattr(importlib.import_module(exports[name]), name)
+        elif name in submodules:
+            value = importlib.import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports, *submodules})
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
+__getattr__, __dir__ = _lazy_attributes(globals(), _EXPORTS, _SUBMODULES)

@@ -951,7 +951,20 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    return handlers[args.command](args)
+    try:
+        status = handlers[args.command](args)
+        # Flush inside the ``try``: a reader that stopped early must
+        # fail here, not in the flush at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``... | head -1``).  As the
+        # Python docs' "Note on SIGPIPE" does: point stdout at /dev/null
+        # so the flush at exit cannot raise again, and exit non-zero
+        # without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -29,13 +29,13 @@ Quick use::
     print(graph.blame().render())
     print(graph.what_if("extoll.bw", 2.0).render())
 
-The names below load on first access (PEP 562), so importing one
-module of the package, as the sweep engine imports
-:mod:`repro.obs.fleet` and the simulator :mod:`repro.obs.metrics`,
-loads that module only.
+The names below and every module of the package load on first access
+(PEP 562), so importing one module of the package, as the sweep engine
+imports :mod:`repro.obs.fleet` and the simulator
+:mod:`repro.obs.metrics`, loads that module only.
 """
 
-import importlib
+from repro import _lazy_attributes
 
 #: Public name -> the module that defines it, resolved on first access.
 _EXPORTS = {
@@ -73,16 +73,13 @@ _EXPORTS = {
     for name in names
 }
 
+#: Modules reachable as ``repro.obs.<name>`` without an explicit
+#: ``import repro.obs.<name>``.
+_SUBMODULES = frozenset({
+    "compare", "critpath", "export", "fleet", "metrics", "report",
+    "telemetry", "timeline",
+})
+
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy_attributes(globals(), _EXPORTS, _SUBMODULES)

@@ -10,6 +10,8 @@ it at scale:
   ``(experiment, config, seed, code version)``;
 * :mod:`repro.sweep.cache` — the content-addressed, atomically-written
   on-disk result cache (repeated sweeps are ~free);
+* :mod:`repro.sweep.spec` — the :class:`SweepSpec` of experiments x
+  seeds and the jobs it resolves to;
 * :mod:`repro.sweep.engine` — the process-pool executor, progress
   reporting and merged summary;
 * :mod:`repro.sweep.policy` — the failure policy (per-job timeouts,
@@ -20,60 +22,45 @@ it at scale:
   (also used by ``benchmarks/conftest.py``).
 
 Front-end: ``python -m repro sweep`` (see ``docs/SWEEP.md``).
+
+The names below and every submodule load on first access (PEP 562), so
+resolving a spec and opening a cache load neither the engine nor the
+run index nor ``multiprocessing``.
 """
 
-from repro.sweep.cache import ResultCache
-from repro.sweep.chaos import ChaosSpec
-from repro.sweep.digests import (
-    canonical,
-    canonical_json,
-    code_version,
-    config_digest,
-    job_digest,
-)
-from repro.sweep.engine import (
-    Job,
-    JobResult,
-    SweepReport,
-    SweepSpec,
-    execute_job,
-    run_chaos_smoke,
-    run_smoke,
-    run_sweep,
-)
-from repro.sweep.policy import PROPAGATE, FailurePolicy, JobFailure
-from repro.sweep.experiments import (
-    EXPERIMENTS,
-    Experiment,
-    effective_config,
-    experiment_names,
-    get_experiment,
-    register,
-)
+from repro import _lazy_attributes
 
-__all__ = [
-    "EXPERIMENTS",
-    "ChaosSpec",
-    "Experiment",
-    "FailurePolicy",
-    "Job",
-    "JobFailure",
-    "JobResult",
-    "PROPAGATE",
-    "ResultCache",
-    "SweepReport",
-    "SweepSpec",
-    "canonical",
-    "canonical_json",
-    "code_version",
-    "config_digest",
-    "effective_config",
-    "execute_job",
-    "experiment_names",
-    "get_experiment",
-    "job_digest",
-    "register",
-    "run_chaos_smoke",
-    "run_smoke",
-    "run_sweep",
-]
+#: Public name -> the module that defines it, resolved on first access.
+_EXPORTS = {
+    name: f"repro.sweep.{module}"
+    for module, names in {
+        "cache": ("ResultCache",),
+        "chaos": ("ChaosSpec",),
+        "digests": (
+            "canonical", "canonical_json", "code_version", "config_digest",
+            "job_digest",
+        ),
+        "engine": (
+            "JobResult", "SweepReport", "execute_job", "run_chaos_smoke",
+            "run_smoke", "run_sweep",
+        ),
+        "experiments": (
+            "EXPERIMENTS", "Experiment", "effective_config", "experiment_names",
+            "get_experiment", "register",
+        ),
+        "policy": ("FailurePolicy", "JobFailure", "PROPAGATE"),
+        "spec": ("Job", "SweepSpec"),
+    }.items()
+    for name in names
+}
+
+#: Submodules reachable as ``repro.sweep.<name>`` without an explicit
+#: ``import repro.sweep.<name>``.
+_SUBMODULES = frozenset({
+    "cache", "chaos", "digests", "engine", "experiments", "obsglue",
+    "policy", "spec",
+})
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_attributes(globals(), _EXPORTS, _SUBMODULES)

@@ -24,17 +24,10 @@ import tempfile
 import time
 import traceback as traceback_mod
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -59,27 +52,10 @@ from repro.sweep.chaos import (
     ChaosSpec,
     corrupt_payload,
 )
-from repro.sweep.experiments import (
-    effective_config,
-    experiment_names,
-    get_experiment,
-)
+from repro.sweep.experiments import get_experiment
 from repro.sweep.obsglue import OBS_DIR_ENV
 from repro.sweep.policy import PROPAGATE, FailurePolicy, JobFailure
-
-
-@dataclass(frozen=True)
-class Job:
-    """One fully-resolved unit of sweep work."""
-
-    experiment: str
-    config: dict
-    seed: int
-    digest: str
-
-    @property
-    def label(self) -> str:
-        return f"{self.experiment} seed={self.seed}"
+from repro.sweep.spec import Job, SweepSpec
 
 
 @dataclass
@@ -97,45 +73,6 @@ class JobResult:
     #: under a :class:`FailurePolicy` bump it).  Harness metadata only —
     #: never part of the payload or the report digest.
     attempts: int = 1
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """What to sweep: experiments x seeds, with config overrides."""
-
-    experiments: Sequence[str]
-    seeds: Sequence[int]
-    #: ``{experiment: {field: value}}``; the key ``"*"`` applies to
-    #: every experiment that has the field.
-    overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-
-    def resolve(self) -> list[Job]:
-        """Expand into concrete jobs with digests (experiment-major,
-        seed-minor order — the canonical serial order)."""
-        names = list(self.experiments)
-        if names == ["all"]:
-            names = experiment_names()
-        jobs = []
-        code = digests.code_version()
-        for name in names:
-            exp = get_experiment(name)
-            # "*" overrides apply where the field exists; per-experiment
-            # overrides must name real fields (effective_config raises).
-            merged = {
-                k: v
-                for k, v in self.overrides.get("*", {}).items()
-                if k in exp.defaults
-            }
-            merged.update(self.overrides.get(name, {}))
-            config = digests.canonical(effective_config(name, merged))
-            seeds = [int(seed) for seed in self.seeds]
-            # One canonical encoding of the config serves every seed.
-            addresses = digests.job_digests(name, config, seeds, code)
-            jobs.extend(
-                Job(experiment=name, config=config, seed=seed, digest=digest)
-                for seed, digest in zip(seeds, addresses)
-            )
-        return jobs
 
 
 @dataclass
@@ -660,6 +597,11 @@ def run_sweep(
     def make_pool():
         if not pooled:
             return _InlineExecutor()
+        # Only a pool loads ``multiprocessing``: a ``jobs=1`` or a fully
+        # cache-served sweep never pays for it.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         return ProcessPoolExecutor(
             max_workers=n_workers, mp_context=get_context("spawn"),
             **pool_kwargs,

@@ -1,9 +1,12 @@
 """A sweep imports only what its jobs run.
 
-A cache-served sweep must not load the simulator, and a job (what a
-pool worker runs) must load neither networkx nor the analysis half of
-:mod:`repro.obs`.  Each check runs in a fresh interpreter, so modules
-the test process already imported cannot hide an eager import.
+Setting a sweep up (resolving its spec, opening its cache) must load
+neither the engine nor the run index nor ``multiprocessing``; only a
+pool loads the pool modules; a cache-served sweep must not load the
+simulator; and a job (what a pool worker runs) must load neither
+networkx nor the analysis half of :mod:`repro.obs`.  Each check runs in
+a fresh interpreter, so modules the test process already imported
+cannot hide an eager import.
 """
 
 import importlib
@@ -22,6 +25,14 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: What a fully cache-served sweep has no use for.
 HEAVY = ("numpy", "networkx", "repro.simkernel", "repro.network", "repro.mpi",
          "repro.deep")
+
+#: What only a process pool needs.
+POOL = ("multiprocessing", "concurrent.futures.process")
+
+#: What a sweep's set-up (import, ``SweepSpec.resolve()``,
+#: ``ResultCache(root)``) has no use for.
+NOT_IN_SETUP = ("repro.sweep.engine", "repro.sweep.policy", "repro.sweep.chaos",
+                "repro.obs.fleet", *POOL)
 
 #: The modules of :mod:`repro.obs` that only analyses and exports use.
 OBS_ANALYSIS = tuple(
@@ -166,3 +177,103 @@ print(json.dumps({
     assert compare.__name__ == "repro.obs.compare"
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.obs.no_such_name
+
+
+def test_setup_path_loads_no_engine_index_or_pool(tmp_path):
+    probe = """
+import json, sys
+spec, cache_dir, unused = json.loads(sys.argv[1])
+from repro.sweep import ResultCache, SweepSpec
+jobs = SweepSpec(**spec).resolve()
+ResultCache(cache_dir)
+print(json.dumps({"n_jobs": len(jobs),
+                  "loaded": [m for m in unused if m in sys.modules]}))
+"""
+    args = json.dumps([SPEC, str(tmp_path / "cache"), NOT_IN_SETUP])
+    assert json.loads(run_fresh(probe, args)) == {"n_jobs": 4, "loaded": []}
+
+
+def test_serial_and_cache_served_sweeps_load_no_pool(tmp_path):
+    probe = """
+import json, sys
+spec, cache_dir, pool = json.loads(sys.argv[1])
+from repro.sweep import ResultCache, SweepSpec, run_sweep
+cache = ResultCache(cache_dir)
+serial = run_sweep(SweepSpec(**spec), jobs=1, cache=cache)
+loaded = {"serial": [m for m in pool if m in sys.modules]}
+served = run_sweep(SweepSpec(**spec), jobs=2, cache=cache)
+loaded["served"] = [m for m in pool if m in sys.modules]
+print(json.dumps({"loaded": loaded, "ran": serial.n_ran,
+                  "cached": served.n_cached,
+                  "same": serial.digest() == served.digest()}))
+"""
+    out = json.loads(run_fresh(probe, json.dumps([SPEC, str(tmp_path), POOL])))
+    assert out == {"loaded": {"serial": [], "served": []}, "ran": 4,
+                   "cached": 4, "same": True}
+
+
+def test_sweep_names_are_their_defining_modules_objects():
+    probe = """
+import importlib, json
+import repro.sweep
+from repro.sweep import *
+from repro.sweep.engine import (Job, JobResult, SweepReport, SweepSpec,
+                                execute_job, run_chaos_smoke, run_smoke,
+                                run_sweep)
+mismatched = [
+    name for name in repro.sweep.__all__
+    if getattr(repro.sweep, name)
+    is not getattr(importlib.import_module(repro.sweep._EXPORTS[name]), name)
+]
+print(json.dumps({
+    "mismatched": mismatched,
+    "spec": repro.sweep.SweepSpec is SweepSpec,
+    "job": repro.sweep.Job is Job,
+    "star": sorted(n for n in repro.sweep.__all__ if n not in globals()),
+}))
+"""
+    out = json.loads(run_fresh(probe))
+    assert out == {"mismatched": [], "spec": True, "job": True, "star": []}
+
+
+def test_dir_lists_exports_and_unknown_names_load_nothing():
+    probe = """
+import json, sys
+import repro.sweep
+listed = dir(repro.sweep)
+try:
+    repro.sweep.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+else:
+    error = None
+print(json.dumps({
+    "unlisted": [n for n in (*repro.sweep.__all__, "engine", "digests")
+                 if n not in listed],
+    "error": error,
+    "loaded": sorted(m for m in sys.modules if m.startswith("repro.sweep.")),
+}))
+"""
+    out = json.loads(run_fresh(probe))
+    assert out["unlisted"] == []
+    assert "no_such_name" in out["error"]
+    assert out["loaded"] == []
+
+
+def test_submodules_resolve_after_a_bare_import():
+    probe = """
+import json, sys
+import repro.obs, repro.sweep
+before = sorted(m for m in sys.modules
+                if m.startswith(("repro.sweep.", "repro.obs.")))
+print(json.dumps({
+    "before": before,
+    "engine": repro.sweep.engine.__name__,
+    "digests": repro.sweep.digests.__name__,
+    "compare": repro.obs.compare.__name__,
+}))
+"""
+    out = json.loads(run_fresh(probe))
+    assert out == {"before": [], "engine": "repro.sweep.engine",
+                   "digests": "repro.sweep.digests",
+                   "compare": "repro.obs.compare"}

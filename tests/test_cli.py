@@ -1,6 +1,9 @@
 """The ``python -m repro`` command-line interface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,27 @@ def test_demo_with_observability_exports(capsys, tmp_path):
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
     dump = json.loads(metrics.read_text())
     assert dump["counters"]["smfu.bytes_forwarded"] > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_reader_gone_before_output_exits_1_without_traceback(unbuffered):
+    # The reading end is closed before the command starts, so its first
+    # write (or the flush of a buffered stdout) meets a broken pipe, as
+    # after ``python -m repro sweep --list | head -1``.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--list"], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 # -- seed-spec parsing ------------------------------------------------------
