@@ -19,7 +19,7 @@ from repro.hardware.node import BoosterNode, ClusterNode
 from repro.parastation import BoosterPolicy, JobSpec, Partition, Scheduler
 from repro.simkernel import Simulator
 
-from benchmarks.conftest import export_sim, observe_kwargs, run_once
+from benchmarks.conftest import export_sim, observing, run_once
 
 MIX = JobMix(
     n_jobs=60,
@@ -34,7 +34,7 @@ MIX = JobMix(
 
 
 def run_policy(policy: BoosterPolicy) -> dict:
-    sim = Simulator(seed=1, **observe_kwargs())
+    sim = Simulator(seed=1, observe=observing())
     cluster = Partition(
         sim, "cluster", [ClusterNode(sim, cluster_node_spec(), i) for i in range(8)]
     )

@@ -18,7 +18,7 @@ from repro.deep import DeepSystem, MachineConfig
 from repro.deep.offload import execute_partition
 from repro.ompss import partition_tasks
 
-from benchmarks.conftest import export_run, observe_kwargs, run_once
+from benchmarks.conftest import export_run, observing, run_once
 
 SCALES = [1, 2, 4, 8, 16, 32]
 TOTAL_UNITS = 32  # fixed problem size across all scales
@@ -27,7 +27,7 @@ TOTAL_UNITS = 32  # fixed problem size across all scales
 def run_kernel(graph_kind: str, n_ranks: int) -> float:
     system = DeepSystem(
         MachineConfig(n_cluster=1, n_booster=max(SCALES), n_gateways=1),
-        **observe_kwargs(),
+        observe=observing(),
     )
     if graph_kind == "stencil":
         graph = stencil_graph(

@@ -23,7 +23,7 @@ from repro.deep import DeepSystem, MachineConfig
 from repro.deep.application import run_application
 from repro.units import mib
 
-from benchmarks.conftest import export_run, observe_kwargs, run_once
+from benchmarks.conftest import export_run, observing, run_once
 
 INTENSITIES = [30.0, 150.0, 600.0]
 MODES = ["cluster-only", "accelerated", "cluster-booster", "advisor"]
@@ -39,7 +39,7 @@ def run_mode(mode: str, intensity: float):
     )
     system = DeepSystem(
         MachineConfig(n_cluster=4, n_booster=16, n_gateways=2),
-        **observe_kwargs(),
+        observe=observing(),
     )
     result = run_application(system, app, mode=mode)
     export_run(system, f"e06_{mode}_{int(intensity)}")

@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis import Table
 from repro.deep import DeepSystem, MachineConfig
 
-from benchmarks.conftest import export_run, observe_kwargs, run_once
+from benchmarks.conftest import export_run, observing, run_once
 
 SIZES = [1, 2, 4, 8, 16, 32, 64]
 
@@ -24,7 +24,7 @@ SIZES = [1, 2, 4, 8, 16, 32, 64]
 def spawn_time(n_children: int) -> float:
     system = DeepSystem(
         MachineConfig(n_cluster=2, n_booster=64, n_gateways=2),
-        **observe_kwargs(),
+        observe=observing(),
     )
     times = {}
 

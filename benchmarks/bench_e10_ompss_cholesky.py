@@ -22,7 +22,7 @@ from repro.hardware.catalog import XEON_PHI_KNC
 from repro.ompss import DataflowScheduler
 from repro.simkernel import Simulator
 
-from benchmarks.conftest import export_sim, observe_kwargs, run_once
+from benchmarks.conftest import export_sim, observing, run_once
 
 NT = 10
 TILE = 256
@@ -32,7 +32,7 @@ CORES = [1, 2, 4, 8, 16, 30, 60]
 def run_dataflow(n_cores: int, policy: str = "critical-path"):
     import dataclasses
 
-    sim = Simulator(**observe_kwargs())
+    sim = Simulator(observe=observing())
     spec = dataclasses.replace(XEON_PHI_KNC, n_cores=n_cores)
     proc = Processor(sim, spec)
     graph = cholesky_graph(NT, tile_size=TILE)

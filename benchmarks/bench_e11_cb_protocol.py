@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import Table, format_series
 from repro.deep import DeepSystem, MachineConfig
 
-from benchmarks.conftest import export_run, observe_kwargs, run_once
+from benchmarks.conftest import export_run, observing, run_once
 
 GATEWAYS = [1, 2, 4]
 
@@ -43,7 +43,7 @@ def aggregate_throughput(n_gateways: int, selection: str = "static"):
             n_cluster=8, n_booster=16, n_gateways=n_gateways,
             gateway_selection=selection,
         ),
-        **observe_kwargs(),
+        observe=observing(),
     )
     bridge = system.machine.bridge
     sim = system.sim
@@ -62,7 +62,7 @@ def aggregate_throughput(n_gateways: int, selection: str = "static"):
 def build():
     lat_system = DeepSystem(
         MachineConfig(n_cluster=4, n_booster=8, n_gateways=1),
-        **observe_kwargs(),
+        observe=observing(),
     )
     lat = bridged_latency(lat_system)
     export_run(lat_system, "e11_bridged_latency")

@@ -24,7 +24,7 @@ from repro.deep import (
 )
 from repro.units import gbyte_per_s, mib
 
-from benchmarks.conftest import export_run, observe_kwargs, run_once
+from benchmarks.conftest import export_run, observing, run_once
 
 
 def run_offload(
@@ -37,7 +37,7 @@ def run_offload(
     system = DeepSystem(
         MachineConfig(n_cluster=2, n_booster=8, n_gateways=2),
         eager_threshold=eager_threshold,
-        **observe_kwargs(),
+        observe=observing(),
     )
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}

@@ -21,12 +21,11 @@ the content-addressed result cache when a bench scenario runs under
 from __future__ import annotations
 
 from repro.sweep.obsglue import (  # noqa: F401  (re-exported for benches)
-    observe_kwargs,
+    observing,
     obs_dir,
 )
 from repro.sweep.obsglue import export_metrics_only as _export_metrics_only
 from repro.sweep.obsglue import export_sim as _export_sim
-from repro.sweep.obsglue import export_system as _export_system
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -36,15 +35,20 @@ def run_once(benchmark, fn, *args, **kwargs):
 
 
 def export_run(system, name: str) -> None:
-    """Export trace + metrics + blame of *system* into
-    ``$REPRO_OBS_DIR`` and print its contention report.  No-op unless
-    the variable is set."""
-    _export_system(system, name, report=True)
+    """Export trace + metrics + blame of a DeepSystem run into
+    ``$REPRO_OBS_DIR`` and print the contention report of its
+    machine's fabrics and gateways.  No-op unless the variable is
+    set."""
+    machine = system.machine
+    gateways = machine.bridge.gateways if machine.bridge else ()
+    export_sim(system.sim, name, fabrics=machine.fabrics, gateways=gateways)
 
 
 def export_sim(sim, name: str, fabrics=(), gateways=()) -> None:
-    """Like :func:`export_run` for a bare :class:`Simulator` (drivers
-    that assemble their own fabrics instead of a DeepSystem)."""
+    """Export trace + metrics + blame of *sim* into ``$REPRO_OBS_DIR``
+    and print the contention report of *fabrics* and *gateways*
+    (drivers that assemble their own fabrics).  No-op unless the
+    variable is set."""
     _export_sim(sim, name, fabrics=fabrics, gateways=gateways, report=True)
 
 

@@ -29,8 +29,7 @@ def main() -> None:
     )
 
     system = DeepSystem(
-        MachineConfig(n_cluster=2, n_booster=8, n_gateways=2),
-        trace=True, metrics=True, profile=True,
+        MachineConfig(n_cluster=2, n_booster=8, n_gateways=2), observe=True
     )
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}

@@ -53,11 +53,12 @@ SCENARIO_DIGEST_OBSERVED = (
 def run_scenario(seed: int = DEFAULT_SEED, observe: bool = False) -> dict:
     """One bridged Cluster-Booster run; returns everything observable.
 
-    With *observe* the run also records traces and metrics, and the
-    metrics dump joins the digest — observability must be deterministic
-    too, and must not perturb the simulated results.
+    With *observe* the run is observed (trace, metrics, profiled
+    resources), and the metrics dump joins the digest — observability
+    must be deterministic too, and must not perturb the simulated
+    results.
     """
-    sim = Simulator(seed=seed, trace=observe, metrics=observe)
+    sim = Simulator(seed=seed, observe=observe)
     cns = [f"cn{i}" for i in range(4)]
     bns = [f"bn{i}" for i in range(4)]
     gw_names = ["bi0", "bi1"]

@@ -24,6 +24,20 @@ python -m pytest -x -q
 echo "== determinism check =="
 python scripts/check_determinism.py
 
+echo "== E/X bench outputs match bench_tables.txt =="
+EX_OUT=$(mktemp)
+EX_STATUS=0
+env -u REPRO_OBS_DIR python -m pytest benchmarks --benchmark-disable -s -q \
+    -p no:cacheprovider > "$EX_OUT" || EX_STATUS=$?
+if ! diff -u bench_tables.txt "$EX_OUT" || [ "$EX_STATUS" -ne 0 ]; then
+  echo "E/X output check FAILED: the printed E/X tables moved (diff above)."
+  echo "A deliberate model change regenerates the file and names every moved number:"
+  echo "  env -u REPRO_OBS_DIR PYTHONPATH=src python -m pytest benchmarks --benchmark-disable -s -q -p no:cacheprovider > bench_tables.txt"
+  exit 1
+fi
+rm -f "$EX_OUT"
+echo "E/X outputs unchanged"
+
 echo "== kernel hot-path smoke (tiny) =="
 python benchmarks/bench_kernel_hotpath.py --tiny --out "$(mktemp)"
 

@@ -86,8 +86,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.deep import OFFLOAD_WORKER_COMMAND, offload_graph, offload_worker
 
     system = DeepSystem(
-        MachineConfig(n_cluster=4, n_booster=8, n_gateways=2),
-        trace=observing, metrics=observing, profile=observing,
+        MachineConfig(n_cluster=4, n_booster=8, n_gateways=2), observe=observing
     )
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}
@@ -887,7 +886,8 @@ def main(argv=None) -> int:
     )
     p_sent.add_argument(
         "--include-partial", action="store_true",
-        help="include ring-truncated (partial) runs (excluded by default)",
+        help="include partial runs (an incomplete blame walk or a "
+        "quarantined job; excluded by default)",
     )
     p_sent.add_argument(
         "--allow-missing", action="store_true",

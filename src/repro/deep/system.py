@@ -40,16 +40,10 @@ class DeepSystem:
         booster_policy: BoosterPolicy = BoosterPolicy.DYNAMIC,
         startup: StartupModel = StartupModel(),
         procs_per_booster_node: int = 1,
-        trace: bool = False,
-        metrics: bool = False,
-        profile: bool = False,
-        max_trace_events: Optional[int] = None,
+        observe: bool = False,
     ) -> None:
         self.config = config or MachineConfig()
-        self.sim = Simulator(
-            seed=seed, trace=trace, metrics=metrics, profile=profile,
-            max_trace_events=max_trace_events,
-        )
+        self.sim = Simulator(seed=seed, observe=observe)
         self.machine = Machine(self.sim, self.config)
 
         # Resource management --------------------------------------------
@@ -191,14 +185,14 @@ class DeepSystem:
     def causal_graph(self):
         """The run's :class:`~repro.obs.critpath.CausalGraph`.
 
-        Requires the system to have been created with ``trace=True``.
+        Requires the system to have been created with ``observe=True``.
         """
         from repro.obs.critpath import CausalGraph
 
         if not self.sim.trace.enabled:
             raise ConfigurationError(
                 "causal analysis needs a traced run; create the system "
-                "with trace=True"
+                "with observe=True"
             )
         return CausalGraph.from_trace(self.sim.trace)
 

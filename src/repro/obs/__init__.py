@@ -20,7 +20,7 @@ The three pieces (DESIGN rationale in ``docs/OBSERVABILITY.md``):
 
 Quick use::
 
-    sim = Simulator(trace=True, metrics=True, profile=True)
+    sim = Simulator(observe=True)
     ... run a model ...
     write_chrome_trace("trace.json", sim.trace)
     write_metrics("metrics.json", sim.metrics, sim)

@@ -396,8 +396,9 @@ def write_baselines(
 ) -> list[Path]:
     """Snapshot every slice of *manifests* into *baseline_dir*.
 
-    Partial runs are excluded by default — a truncated trace must not
-    define what "normal" looks like.  Returns the written paths.
+    Partial runs are excluded by default — an incomplete blame walk or
+    a quarantined job must not define what "normal" looks like.
+    Returns the written paths.
     """
     from repro.fsutil import atomic_write_json
 

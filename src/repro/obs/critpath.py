@@ -31,9 +31,9 @@ This module turns that DAG into answers to "why is this run slow":
    (different gateway picks, reordered queueing) but not the
    first-order one.
 
-Graphs built from ring-buffer-truncated traces are flagged
-:attr:`CausalGraph.partial` — their critical paths cover only the
-retained window and must not be read as whole-run blame.
+A walk that cannot reach time 0 (a same-time wake cycle, or its safety
+limit) marks its :class:`BlameReport` ``partial``: the blame then covers
+only part of the run and must not be read as whole-run blame.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class BlameReport:
     detail: dict[str, dict[str, float]]
     #: The full step chain, last-to-first.
     steps: list[Step]
-    #: True when the underlying trace was ring-truncated or the walk
-    #: hit its safety limit: blame covers only part of the run.
+    #: True when the walk stopped before time 0 (a same-time wake
+    #: cycle or its safety limit): blame covers only part of the run.
     partial: bool = False
 
     @property
@@ -153,7 +153,7 @@ class BlameReport:
         lines = [
             f"critical path: makespan {self.makespan * 1e3:.3f} ms, "
             f"{len(self.steps)} steps"
-            + ("  [PARTIAL: truncated trace]" if self.partial else "")
+            + ("  [PARTIAL: incomplete walk]" if self.partial else "")
         ]
         order = sorted(
             self._ordered(), key=lambda b: self.seconds[b], reverse=True
@@ -326,11 +326,9 @@ class CausalGraph:
         segments: list[Segment],
         wakes: list[tuple[float, float, int, int]],
         proc_names: Optional[dict[int, str]] = None,
-        partial: bool = False,
     ) -> None:
         self.segments = sorted(segments, key=lambda s: (s.start, s.end, s.pid))
         self.proc_names = proc_names or {}
-        self.partial = partial
         # Per-pid segment index for the backwards walk.
         self._by_pid: dict[int, list[Segment]] = defaultdict(list)
         for seg in self.segments:
@@ -356,7 +354,6 @@ class CausalGraph:
             _flatten_spans(trace.spans),
             list(trace.wakes),
             proc_names=dict(trace.proc_names),
-            partial=bool(trace.dropped_spans or trace.dropped_wakes),
         )
 
     @property
@@ -458,7 +455,7 @@ class CausalGraph:
             seconds=dict(seconds),
             detail={b: dict(d) for b, d in detail.items()},
             steps=steps,
-            partial=self.partial or not complete,
+            partial=not complete,
         )
 
     # -- what-if replay --------------------------------------------------

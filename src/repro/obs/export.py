@@ -12,7 +12,6 @@ rows.  Open the result at https://ui.perfetto.dev or
 from __future__ import annotations
 
 import json
-import warnings
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.fsutil import atomic_open
@@ -24,30 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Tolerance when deciding a lane is free (matches the span end).
 _LANE_EPS = 1e-15
-
-
-def truncation_counts(trace: "TraceRecorder") -> dict[str, int]:
-    """Non-zero ring-buffer drop counts of *trace* (empty = complete)."""
-    counts = {
-        "dropped_events": trace.dropped_events,
-        "dropped_spans": trace.dropped_spans,
-        "dropped_wakes": getattr(trace, "dropped_wakes", 0),
-        "dropped_counters": getattr(trace, "dropped_counters", 0),
-    }
-    return {k: v for k, v in counts.items() if v}
-
-
-def _warn_truncated(trace: "TraceRecorder", what: str) -> dict[str, int]:
-    dropped = truncation_counts(trace)
-    if dropped:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(dropped.items()))
-        warnings.warn(
-            f"{what} built from a ring-truncated trace ({detail}); "
-            f"the export covers only the newest window",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return dropped
 
 
 def chrome_process_meta(pid: int, name: str) -> dict:
@@ -85,32 +60,18 @@ def assign_lanes(intervals: Sequence[tuple[float, float]]) -> list[int]:
     return lanes
 
 
-def chrome_trace(
-    trace: "TraceRecorder",
-    include_events: bool = True,
-    include_counters: bool = True,
-) -> dict:
+def chrome_trace(trace: "TraceRecorder") -> dict:
     """Whole-simulation Chrome/Perfetto trace document.
 
     Spans become complete (``"ph": "X"``) events; point trace events
     become instants (``"ph": "i"``) on a dedicated lane of their
     category's group; recorded counter change points become counter
-    tracks (``"ph": "C"``).  A ring-truncated trace is flagged with a
-    warning and a ``trace.truncated`` metadata instant at t=0.
-    Serialise with ``json.dump`` or use :func:`write_chrome_trace`.
+    tracks (``"ph": "C"``).  Serialise with ``json.dump`` or use
+    :func:`write_chrome_trace`.
     """
     events: list[dict] = []
-    dropped = _warn_truncated(trace, "chrome trace")
-    if dropped:
-        events.append({
-            "name": "trace.truncated", "cat": "meta", "ph": "i", "s": "g",
-            "ts": 0.0, "pid": 0, "tid": 0, "args": dict(dropped),
-        })
     categories = sorted({sp.category for sp in trace.spans})
-    if include_events:
-        categories += sorted(
-            {ev.category for ev in trace.events} - set(categories)
-        )
+    categories += sorted({ev.category for ev in trace.events} - set(categories))
     pids = {cat: i + 1 for i, cat in enumerate(categories)}
     for cat, pid in pids.items():
         events.append(chrome_process_meta(pid, cat))
@@ -137,34 +98,33 @@ def chrome_trace(
                 "args": args,
             })
 
-    if include_events:
-        for ev in trace.events:
-            events.append({
-                "name": ev.category,
-                "cat": ev.category,
-                "ph": "i",
-                "s": "t",
-                "ts": ev.time * 1e6,
-                "pid": pids[ev.category],
-                "tid": 9999,  # dedicated instant lane per group
-                "args": dict(ev.fields),
-            })
+    for ev in trace.events:
+        events.append({
+            "name": ev.category,
+            "cat": ev.category,
+            "ph": "i",
+            "s": "t",
+            "ts": ev.time * 1e6,
+            "pid": pids[ev.category],
+            "tid": 9999,  # dedicated instant lane per group
+            "args": dict(ev.fields),
+        })
 
-    if include_counters and trace.counters:
+    if trace.counters:
         from repro.obs.timeline import chrome_counter_events
 
         events.extend(chrome_counter_events(trace, pid=0))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, trace: "TraceRecorder", **kwargs) -> None:
+def write_chrome_trace(path, trace: "TraceRecorder") -> None:
     """Write :func:`chrome_trace` output as JSON to *path*.
 
     Parent directories are created and the write is atomic (temp file +
     rename), so a crash never leaves a torn trace behind.
     """
     with atomic_open(path) as fh:
-        json.dump(chrome_trace(trace, **kwargs), fh)
+        json.dump(chrome_trace(trace), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +173,6 @@ def metrics_dict(
             "events_scheduled": sim._eid,
             "events_processed": sim._events_processed,
         }
-        dropped = truncation_counts(sim.trace)
-        if dropped:
-            out["trace"] = {"truncated": True, **dropped}
     return out
 
 
@@ -228,8 +185,6 @@ def render_metrics_text(
         lines.append(f"kernel.now {sim.now}")
         lines.append(f"kernel.events_scheduled {sim._eid}")
         lines.append(f"kernel.events_processed {sim._events_processed}")
-        for key, count in sorted(truncation_counts(sim.trace).items()):
-            lines.append(f"trace.{key} {count}")
     body = metrics.render_text()
     if body:
         lines.append(body)

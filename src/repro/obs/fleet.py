@@ -19,12 +19,12 @@ Design rules:
   :func:`repro.fsutil.append_line`; readers skip torn lines.  Nothing
   ever rewrites the index in place (``rebuild`` writes a fresh file).
 * **Rebuildable.** For sweep runs the manifest is a pure function of
-  the cached ``result.json`` + ``blame.json``/``metrics.json``
-  artifacts, so :meth:`FleetIndex.rebuild_from_cache` reproduces the
-  index exactly (digest match) from a cache tree alone.
-* **Truncation-honest.** A run recorded from a ring-truncated trace
-  (``trace.truncated`` / ``dropped_wakes``) or a partial blame walk is
-  marked ``partial`` and excluded from sentinel baselines by default.
+  the cached ``result.json`` and ``blame.json`` artifact, so
+  :meth:`FleetIndex.rebuild_from_cache` reproduces the index exactly
+  (digest match) from a cache tree alone.
+* **Partial-honest.** A run whose blame walk did not complete, and a
+  quarantined job, are marked ``partial`` and excluded from sentinel
+  baselines by default.
 """
 
 from __future__ import annotations
@@ -51,15 +51,6 @@ FLEET_INDEX_ENV = "REPRO_FLEET_INDEX"
 
 #: Index location inside a sweep-cache root.
 INDEX_RELPATH = ("v1", "index", "runs.jsonl")
-
-#: Harness-telemetry sidecar next to the run index: one summary record
-#: per sweep invocation.  Deliberately a *separate* file — manifests in
-#: ``runs.jsonl`` are deterministic content digests of simulated
-#: results, while harness records carry wall-clock numbers (per-job
-#: wall seconds, queue waits, cache efficiency) that legitimately
-#: differ between identical runs.  Keeping the clocks in separate
-#: files is what preserves ``rebuild --check`` digest parity.
-HARNESS_RELPATH = ("v1", "index", "harness.jsonl")
 
 #: Payload-metric keys accepted as the run's makespan when no blame
 #: report is available (first match wins).
@@ -186,19 +177,6 @@ def _manifest_fields(doc: Mapping[str, Any]) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def trace_truncated(metrics_doc: Optional[Mapping[str, Any]]) -> bool:
-    """True when a metrics dump records ring-buffer truncation
-    (``trace.truncated`` or any non-zero ``dropped_*`` counter)."""
-    if not metrics_doc:
-        return False
-    tr = metrics_doc.get("trace") or {}
-    if tr.get("truncated"):
-        return True
-    return any(
-        bool(v) for k, v in tr.items() if k.startswith("dropped_")
-    )
-
-
 def _makespan_from_metrics(metrics: Mapping[str, float]) -> Optional[float]:
     for key in _MAKESPAN_KEYS:
         value = metrics.get(key)
@@ -214,24 +192,21 @@ def build_manifest(
     code_version: str,
     payload: Mapping[str, Any],
     blame_doc: Optional[Mapping[str, Any]] = None,
-    metrics_doc: Optional[Mapping[str, Any]] = None,
     source: str = "sweep",
     run_id: Optional[str] = None,
 ) -> RunManifest:
     """Assemble a manifest from a job's deterministic outputs.
 
     *payload* is the sweep result payload (``{"metrics": ...}``);
-    *blame_doc* / *metrics_doc* are the parsed ``*.blame.json`` /
-    ``*.metrics.json`` exports when the run was observed.  ``run_id``
-    defaults to the sweep job digest of ``(experiment, config, seed,
-    code)`` — the cache entry name — so index records and cache entries
-    share an address.
+    *blame_doc* is the parsed ``*.blame.json`` export when the run was
+    observed.  ``run_id`` defaults to the sweep job digest of
+    ``(experiment, config, seed, code)`` — the cache entry name — so
+    index records and cache entries share an address.
     """
     from repro.sweep.digests import job_digest
 
     metrics = scalar_metrics(payload.get("metrics", {}))
     partial = bool(blame_doc.get("partial")) if blame_doc else False
-    partial = partial or trace_truncated(metrics_doc)
     makespan = None
     if blame_doc is not None and blame_doc.get("makespan_s") is not None:
         makespan = float(blame_doc["makespan_s"])
@@ -286,15 +261,13 @@ def manifest_from_artifacts(
     run_id: Optional[str] = None,
 ) -> RunManifest:
     """Manifest of a sweep job from its payload + staged export files."""
-    paths = list(artifact_paths)
     return build_manifest(
         experiment,
         config,
         seed,
         code_version,
         payload,
-        blame_doc=_pick_artifact(paths, ".blame.json"),
-        metrics_doc=_pick_artifact(paths, ".metrics.json"),
+        blame_doc=_pick_artifact(artifact_paths, ".blame.json"),
         source="sweep",
         run_id=run_id,
     )
@@ -380,8 +353,7 @@ def manifest_from_exports(
         metrics=metrics,
         blame_s=dict((blame_doc or {}).get("seconds") or {}),
         blame_fractions=dict((blame_doc or {}).get("fractions") or {}),
-        partial=bool((blame_doc or {}).get("partial"))
-        or trace_truncated(metrics_doc),
+        partial=bool((blame_doc or {}).get("partial")),
     )
 
 
@@ -504,29 +476,6 @@ class FleetIndex:
             if manifest is not None:
                 out.append(manifest)
         return out
-
-    # -- harness telemetry sidecar ----------------------------------------
-    @property
-    def harness_path(self) -> Path:
-        """The wall-clock harness sidecar next to this index."""
-        return self.path.parent / HARNESS_RELPATH[-1]
-
-    def record_harness(self, summary: Mapping[str, Any]) -> None:
-        """Append one sweep-invocation telemetry summary (see
-        :func:`repro.obs.telemetry.summarize`) next to the run index.
-
-        Wall-clock by nature, so it never enters ``runs.jsonl`` or the
-        index digest — ``rebuild`` ignores and never rewrites it.
-        """
-        append_line(
-            self.harness_path,
-            json.dumps(dict(summary), sort_keys=True),
-            sync=False,
-        )
-
-    def load_harness(self) -> list[dict]:
-        """All readable harness summaries (torn lines skipped)."""
-        return list(read_json_lines(self.harness_path))
 
     def rewrite(self, manifests: list[RunManifest]) -> None:
         """Atomically replace the index file with *manifests* (sorted

@@ -5,7 +5,7 @@ finished run as a small text report — the automatic companion every
 experiment driver and ``python -m repro demo --report`` prints.
 Sources, in order of preference:
 
-* ``Simulator(profile=True)`` — exact per-resource grant/queue
+* ``Simulator(observe=True)`` — exact per-resource grant/queue
   statistics via :meth:`~repro.simkernel.simulator.Simulator.profile_stats`;
 * fabric byte counters (:meth:`~repro.network.fabric.Fabric.hottest_links`);
 * SMFU gateway forwarding counters;
@@ -90,7 +90,7 @@ def contention_report(
             line += f", critpath={smfu_blame[gw.name] * 1e3:.3f} ms"
         lines.append(line)
 
-    if sim.profile:
+    if sim.observe:
         stats = sim.profile_stats()
         ranked = sorted(
             stats["resources"].items(),

@@ -23,8 +23,12 @@ it with a torn-line-tolerant reader.  Record kinds::
     pool.restart   {t, reason, restarts, n_requeued}       (parent)
     cache.hit      {t, job, digest, experiment, seed}      (parent)
     cache.promote  {t, job, digest, bytes, n_artifacts}    (parent)
-    sweep.end      {t, n_done, n_quarantined, aborted,
+    sweep.end      {t, n_done, n_quarantined, n_workers, aborted,
                     cache {hits,misses,corrupt,stores,bytes_promoted}}
+
+``sweep.start`` announces at most one worker per job, before the cache
+pass; ``sweep.end`` reports the workers of the pool that ran the
+misses (0 when every job was a hit).
 
 The failure records (``job.retry`` / ``job.timeout`` /
 ``job.quarantine`` / ``pool.restart``) come from the engine's
@@ -49,8 +53,7 @@ On top of the channel:
 * :func:`stragglers` — jobs exceeding ``k``·median wall time of their
   completed peers, flagged with experiment + config digest;
 * :func:`summarize` — the ``telemetry.json`` totals merged into
-  :class:`~repro.sweep.engine.SweepReport` and recorded next to the
-  fleet run index;
+  :class:`~repro.sweep.engine.SweepReport`;
 * :func:`fleet_chrome_trace` — a Chrome/Perfetto export of the fleet
   execution itself: one lane per worker, job spans coloured by
   cache-hit vs computed (cache hits get their own lane group via
@@ -197,7 +200,11 @@ class FleetState:
         self.t_sweep_start: Optional[float] = None
         self.t_sweep_end: Optional[float] = None
         self.n_jobs_announced = 0
+        #: Worker count that utilization and the ETA divide by: the
+        #: announced bound while a sweep runs, the pool that ran once
+        #: it has ended.
         self.n_workers = 0
+        self._pool_workers = 0
         self.experiments: list[str] = []
         self.cache_counts: dict[str, int] = {}
         self.ewma = Ewma(ewma_alpha)
@@ -227,6 +234,12 @@ class FleetState:
         if kind == "sweep.end":
             self.t_sweep_end = t
             self.aborted = self.aborted or bool(event.get("aborted"))
+            # The largest pool of the sweeps ended so far; a channel
+            # without the field keeps the announced bound.
+            self._pool_workers = max(
+                self._pool_workers, int(event.get("n_workers", self.n_workers))
+            )
+            self.n_workers = self._pool_workers
             for key, value in (event.get("cache") or {}).items():
                 self.cache_counts[key] = int(value)
             # An attempt still open raised out of the sweep: no job.end,
@@ -486,9 +499,9 @@ def _stats(values: list[float]) -> Optional[dict]:
 def summarize(events: Iterable[Mapping[str, Any]]) -> dict:
     """Fold a whole channel into the ``telemetry.json`` totals.
 
-    This is the document merged into ``SweepReport.as_dict()`` and
-    recorded next to the fleet run index — per-job wall seconds,
-    queue-wait, worker utilization, cache efficiency and stragglers.
+    This is the document merged into ``SweepReport.as_dict()`` —
+    per-job wall seconds, queue-wait, worker utilization, cache
+    efficiency and stragglers.
     """
     state = FleetState().apply_all(events)
     done = state.completed()

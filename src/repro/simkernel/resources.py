@@ -125,7 +125,7 @@ class Resource:
         self.grants = 0
         #: Slots that found the resource busy and had to queue.
         self.waits = 0
-        if sim.profile:
+        if sim.observe:
             sim._profiled_resources.append(self)
 
     # -- accounting ------------------------------------------------------

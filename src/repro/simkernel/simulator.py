@@ -21,37 +21,23 @@ class Simulator:
     ----------
     seed:
         Seed for the simulator's named random streams (:attr:`rng`).
-    trace:
-        If true, record trace events and spans via :attr:`trace`.
-    profile:
-        If true, resources created on this simulator register
-        themselves for contention statistics and kernel counters are
-        exposed via :meth:`profile_stats`.
-    metrics:
-        If true, :attr:`metrics` is a live
+    observe:
+        If true, the run is observed: :attr:`trace` records events,
+        spans, wake edges and counters; :attr:`metrics` is a live
         :class:`~repro.obs.metrics.MetricsRegistry` that instrumented
-        subsystems increment; the default is the shared no-op registry
-        (free handles, nothing recorded).  An existing registry may
-        also be passed in directly.
-    max_trace_events:
-        Ring-buffer bound handed to the :class:`TraceRecorder`
-        (``None`` = unbounded; see there).
+        subsystems increment; and resources created on this simulator
+        register themselves for :meth:`profile_stats`.  Off (the
+        default), the recorder is disabled and :attr:`metrics` is the
+        shared no-op registry (free handles, nothing recorded).
     """
 
     __slots__ = (
         "now", "_queue", "_eid", "_active_process", "_live_processes",
-        "_events_processed", "_profiled_resources", "profile", "rng", "trace",
+        "_events_processed", "_profiled_resources", "observe", "rng", "trace",
         "metrics", "__weakref__",
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: bool = False,
-        profile: bool = False,
-        metrics: Any = False,
-        max_trace_events: Optional[int] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, observe: bool = False) -> None:
         #: Current simulated time in seconds.  A plain attribute rather
         #: than a property because every message and claim reads it;
         #: only the kernel writes it.
@@ -61,24 +47,22 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._live_processes = 0
         self._events_processed = 0
-        #: Whether per-resource contention statistics are collected.
-        self.profile = bool(profile)
+        #: Whether the run is observed (trace, metrics and per-resource
+        #: contention statistics).
+        self.observe = bool(observe)
         self._profiled_resources: list[Any] = []
         #: Named deterministic random streams.
         self.rng = RandomStreams(seed)
-        #: Trace recorder (disabled unless ``trace=True``).  It reads
-        #: the clock and the active process through a weak reference:
-        #: the simulator owns its recorder, so the recorder must not
-        #: keep the simulator alive.
-        self.trace = TraceRecorder(enabled=trace, max_events=max_trace_events)
+        #: Trace recorder (disabled unless observed).  It reads the
+        #: clock and the active process through a weak reference: the
+        #: simulator owns its recorder, so the recorder must not keep
+        #: the simulator alive.
+        self.trace = TraceRecorder(enabled=self.observe)
         clock, active = _weak_sources(weakref.ref(self))
         self.trace.bind_clock(clock)
         self.trace.bind_active(active)
-        #: Metrics registry (the shared no-op unless ``metrics`` is set).
-        if isinstance(metrics, MetricsRegistry):
-            self.metrics = metrics
-        else:
-            self.metrics = MetricsRegistry() if metrics else NULL_METRICS
+        #: Metrics registry (the shared no-op unless observed).
+        self.metrics = MetricsRegistry() if self.observe else NULL_METRICS
 
     # -- state ----------------------------------------------------------
     @property
@@ -225,14 +209,14 @@ class Simulator:
     def profile_stats(self) -> dict:
         """Kernel counters and per-resource contention statistics.
 
-        Requires ``Simulator(profile=True)``.  Resources created on a
-        profiling simulator register themselves at construction; each
+        Requires ``Simulator(observe=True)``.  Resources created on an
+        observed simulator register themselves at construction; each
         reports how many claims were granted, how many had to queue,
         and its lifetime utilization — enough to find the contended
         resource behind a slow simulation without a tracer.
         """
-        if not self.profile:
-            raise SimulationError("profile_stats() requires Simulator(profile=True)")
+        if not self.observe:
+            raise SimulationError("profile_stats() requires Simulator(observe=True)")
         resources: dict[str, dict] = {}
         for i, res in enumerate(self._profiled_resources):
             key = res.name or f"resource#{i}"

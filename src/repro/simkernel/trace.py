@@ -15,12 +15,8 @@ the one idiom every call site uses is::
 which costs a single truthiness check when disabled — no field dicts
 are ever built.
 
-Memory is unbounded by default (``max_events=None``): every event and
-span of the run is kept, which is what the exporters want for one
-simulation.  Long sweeps with tracing on should pass ``max_events`` to
-turn both buffers into rings that keep the *newest* entries and count
-the rest in :attr:`TraceRecorder.dropped_events` /
-:attr:`TraceRecorder.dropped_spans`.
+Every event and span of the run is kept, which is what the exporters
+and the causal analysis want for one simulation.
 
 Spans nest: each simulated process carries its own open-span stack, so
 a span opened inside another span *of the same process* records it as
@@ -49,7 +45,6 @@ them back to process names for reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -141,26 +136,17 @@ class TraceRecorder:
     ``if sim.trace:``.
     """
 
-    def __init__(
-        self, enabled: bool = False, max_events: Optional[int] = None
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: Ring size for each buffer; ``None`` (the default) = unbounded.
-        self.max_events = max_events
-        self.events: deque[TraceEvent] = deque()
-        self.spans: deque[SpanRecord] = deque()
+        self.events: list[TraceEvent] = []
+        self.spans: list[SpanRecord] = []
         #: Wake edges ``(t_wake, t_trigger, src_pid, dst_pid)``: process
         #: ``dst`` was resumed at ``t_wake`` by an event triggered by
         #: process ``src`` at ``t_trigger`` (recorded by the kernel).
-        self.wakes: deque[tuple[float, float, int, int]] = deque()
+        self.wakes: list[tuple[float, float, int, int]] = []
         #: Gauge change points ``(time, name, value)`` for counter
         #: timelines (see :mod:`repro.obs.timeline`).
-        self.counters: deque[tuple[float, str, float]] = deque()
-        #: Oldest entries evicted because the ring was full.
-        self.dropped_events = 0
-        self.dropped_spans = 0
-        self.dropped_wakes = 0
-        self.dropped_counters = 0
+        self.counters: list[tuple[float, str, float]] = []
         self._clock: Optional[Callable[[], float]] = None
         self._active: Optional[Callable[[], Any]] = None
         self._span_ids = 0
@@ -216,22 +202,14 @@ class TraceRecorder:
         time; the wake time is now.  Called once per cross-process
         resumption by :meth:`Process._resume` when tracing is enabled.
         """
-        wakes = self.wakes
-        if self.max_events is not None and len(wakes) >= self.max_events:
-            wakes.popleft()
-            self.dropped_wakes += 1
-        wakes.append((self._now(), cause[1], cause[0], self.pid_of(target)))
+        self.wakes.append((self._now(), cause[1], cause[0], self.pid_of(target)))
 
     # -- counter samples ------------------------------------------------
     def record_counter(self, name: str, value: float) -> None:
         """Record a gauge change point (call sites guard on truthiness)."""
         if not self.enabled:
             return
-        counters = self.counters
-        if self.max_events is not None and len(counters) >= self.max_events:
-            counters.popleft()
-            self.dropped_counters += 1
-        counters.append((self._now(), name, value))
+        self.counters.append((self._now(), name, value))
 
     # -- point events ---------------------------------------------------
     def record(self, category: str, *, time: Optional[float] = None, **fields: Any) -> None:
@@ -240,11 +218,7 @@ class TraceRecorder:
             return
         if time is None:
             time = self._clock() if self._clock is not None else 0.0
-        events = self.events
-        if self.max_events is not None and len(events) >= self.max_events:
-            events.popleft()
-            self.dropped_events += 1
-        events.append(TraceEvent(time, category, fields))
+        self.events.append(TraceEvent(time, category, fields))
 
     # -- spans ----------------------------------------------------------
     def span(
@@ -289,7 +263,7 @@ class TraceRecorder:
                     break
             if not stack:
                 del self._open[open_span._key]
-        self._append_span(SpanRecord(
+        self.spans.append(SpanRecord(
             open_span.span_id, open_span.parent_id, open_span.category,
             open_span.name, open_span.start, self._now(),
             self.pid_of(open_span._key), open_span.fields,
@@ -320,17 +294,10 @@ class TraceRecorder:
             if stack:
                 parent = stack[-1].span_id
         self._span_ids += 1
-        self._append_span(SpanRecord(
+        self.spans.append(SpanRecord(
             self._span_ids, parent, category, name, start, end,
             self.pid_of(proc), fields,
         ))
-
-    def _append_span(self, span: SpanRecord) -> None:
-        spans = self.spans
-        if self.max_events is not None and len(spans) >= self.max_events:
-            spans.popleft()
-            self.dropped_spans += 1
-        spans.append(span)
 
     # -- queries --------------------------------------------------------
     def select(self, category: str) -> Iterator[TraceEvent]:
@@ -347,10 +314,6 @@ class TraceRecorder:
         self.spans.clear()
         self.wakes.clear()
         self.counters.clear()
-        self.dropped_events = 0
-        self.dropped_spans = 0
-        self.dropped_wakes = 0
-        self.dropped_counters = 0
 
     def __len__(self) -> int:
         return len(self.events)

@@ -375,8 +375,7 @@ def run_sweep(
         records submit/cache/promote events, workers stream start/end
         events into the same file, and the finished report carries the
         :func:`repro.obs.telemetry.summarize` totals (also written to
-        the sibling ``telemetry.json`` and, when a cache is attached,
-        appended next to the fleet run index).  A sweep that raises
+        the sibling ``telemetry.json``).  A sweep that raises
         still ends its channel with ``sweep.end`` (``aborted: true``),
         where every follower of the channel stops.  Harness-side only:
         simulated payloads and :meth:`SweepReport.digest` are
@@ -588,8 +587,11 @@ def run_sweep(
     # ``jobs=1`` each job runs inline as it is submitted.  Otherwise
     # every miss, even a single one, runs on spawned workers: a timeout
     # always has a process to kill, and the simulator stays out of this
-    # process.  (``n_workers`` is set once pass 1 has counted misses.)
+    # process.  ``n_workers`` is the pool size, set once pass 1 has
+    # counted misses; it stays 0 when no job runs, and ``sweep.end``
+    # reports it.
     pooled = jobs > 1
+    n_workers = 0
     pool_kwargs: dict[str, Any] = {}
     if isolate:
         pool_kwargs["max_tasks_per_child"] = 1
@@ -821,6 +823,7 @@ def run_sweep(
             "sweep.end",
             n_done=done,
             n_quarantined=len(quarantined),
+            n_workers=n_workers,
             aborted=aborted,
             cache={
                 k: v - cache_base.get(k, 0)
@@ -841,8 +844,6 @@ def run_sweep(
 
         report.telemetry = summarize(read_events(telemetry))
         write_summary(telemetry, report.telemetry)
-        if fleet_index is not None:
-            fleet_index.record_harness(report.telemetry)
     return report
 
 

@@ -106,7 +106,7 @@ def run_pingpong(config: dict, seed: int) -> dict:
     from repro.network import InfinibandFabric
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, **obsglue.observe_kwargs())
+    sim = Simulator(seed=seed, observe=obsglue.observing())
     n_ranks = 2 * int(config["n_pairs"])
     endpoints = [f"cn{i}" for i in range(n_ranks)]
     ib = InfinibandFabric(sim, endpoints)
@@ -170,7 +170,7 @@ def run_alltoall_bridge(config: dict, seed: int) -> dict:
     from repro.network.smfu import SMFUSpec
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, **obsglue.observe_kwargs())
+    sim = Simulator(seed=seed, observe=obsglue.observing())
     fidelity = FidelityConfig.coerce(config["fidelity"])
     cns = [f"cn{i}" for i in range(int(config["n_cluster"]))]
     bns = [f"bn{i}" for i in range(int(config["n_booster"]))]
@@ -274,7 +274,7 @@ def run_collective_scale(config: dict, seed: int) -> dict:
             "fidelity": "analytic",
         }
 
-    sim = Simulator(seed=seed, **obsglue.observe_kwargs())
+    sim = Simulator(seed=seed, observe=obsglue.observing())
     eps = [f"cn{i}" for i in range(ranks)]
     ib = InfinibandFabric(sim, eps)
     for ep in eps:
@@ -338,7 +338,7 @@ def run_offload_stencil(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        **obsglue.observe_kwargs(),
+        observe=obsglue.observing(),
     )
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}
@@ -354,7 +354,7 @@ def run_offload_stencil(config: dict, seed: int) -> dict:
     system.launch(main)
     system.run()
     result = out["result"]
-    obsglue.export_system(system, f"offload_stencil_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, f"offload_stencil_seed{seed}", report=False)
     return {
         "offload_elapsed_s": result.elapsed_s,
         "n_tasks": result.n_tasks,
@@ -400,10 +400,10 @@ def run_coupled_modes(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        **obsglue.observe_kwargs(),
+        observe=obsglue.observing(),
     )
     report = run_application(system, app, mode=str(config["mode"]))
-    obsglue.export_system(system, f"coupled_modes_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, f"coupled_modes_seed{seed}", report=False)
     return {
         "total_time_s": report.total_time_s,
         "energy_joules": report.energy_joules,
@@ -428,7 +428,7 @@ def run_spawn_cost(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        **obsglue.observe_kwargs(),
+        observe=obsglue.observing(),
     )
     times = {}
 
@@ -446,7 +446,7 @@ def run_spawn_cost(config: dict, seed: int) -> dict:
 
     system.launch(main)
     system.run()
-    obsglue.export_system(system, f"spawn_cost_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, f"spawn_cost_seed{seed}", report=False)
     return {
         "spawn_s": max(times.values()),
         "end_time_s": system.now,
@@ -472,7 +472,7 @@ def run_checkpoint_resilience(config: dict, seed: int) -> dict:
     from repro.resilience.checkpoint import simulate_checkpointed_run
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, **obsglue.observe_kwargs())
+    sim = Simulator(seed=seed, observe=obsglue.observing())
     stats = []
 
     def main():

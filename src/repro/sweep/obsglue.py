@@ -1,9 +1,11 @@
 """Observability-export glue shared by the sweep engine and the benches.
 
 One implementation of "dump everything observable about this run into a
-directory": trace + metrics + blame for a :class:`~repro.deep.system.DeepSystem`,
-the same for a bare :class:`~repro.simkernel.simulator.Simulator`, and a
-metrics-only variant for analytic drivers.  ``benchmarks/conftest.py``
+directory": trace + metrics + blame of a
+:class:`~repro.simkernel.simulator.Simulator` (a
+:class:`~repro.deep.system.DeepSystem` passes its ``sim`` and its
+machine's fabrics and gateways), and a metrics-only variant for
+analytic drivers.  ``benchmarks/conftest.py``
 delegates here, and sweep workers call the same functions with
 ``REPRO_OBS_DIR`` pointed at a per-job staging directory — which is how
 bench-style exports flow through the content-addressed result cache.
@@ -62,54 +64,23 @@ def obs_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
-def observe_kwargs() -> dict:
-    """DeepSystem/Simulator kwargs turning observability on when
-    ``REPRO_OBS_DIR`` is set (else empty = off, preserving the hot
-    path)."""
-    if os.environ.get(OBS_DIR_ENV):
-        return {"trace": True, "metrics": True, "profile": True}
-    return {}
-
-
-def export_system(
-    system, name: str, out_dir=None, report: bool = True
-) -> list[Path]:
-    """Export trace + metrics + blame of a DeepSystem run.
-
-    Writes into *out_dir* (default ``$REPRO_OBS_DIR``; no-op when
-    neither is set) and optionally prints the contention report.
-    Returns the written paths.
-    """
-    out = Path(out_dir) if out_dir else obs_dir()
-    if out is None:
-        return []
-    from repro.obs.export import metrics_dict
-
-    paths = [
-        out / f"{name}.trace.json",
-        out / f"{name}.metrics.json",
-        out / f"{name}.blame.json",
-    ]
-    system.write_trace(paths[0])
-    system.write_metrics(paths[1])
-    blame_doc = system.blame_report().as_dict()
-    atomic_write_json(paths[2], blame_doc)
-    _record_fleet(
-        name, out,
-        metrics_doc=metrics_dict(system.sim.metrics, system.sim),
-        blame_doc=blame_doc,
-    )
-    paths.append(out / f"{name}.manifest.json")
-    if report:
-        print(system.contention_report())
-    return paths
+def observing() -> bool:
+    """Whether runs should be observed: ``REPRO_OBS_DIR`` is set (else
+    off, preserving the hot path).  Pass as ``observe=`` to a
+    :class:`Simulator` or :class:`DeepSystem`."""
+    return obs_dir() is not None
 
 
 def export_sim(
     sim, name: str, fabrics=(), gateways=(), out_dir=None, report: bool = True
 ) -> list[Path]:
-    """Like :func:`export_system` for a bare :class:`Simulator`
-    (drivers that assemble their own fabrics)."""
+    """Export trace + metrics + blame of an observed run.
+
+    Writes into *out_dir* (default ``$REPRO_OBS_DIR``; no-op when
+    neither is set) and optionally prints the contention report of
+    *fabrics* and *gateways*, with the same blame.  Returns the written
+    paths.
+    """
     out = Path(out_dir) if out_dir else obs_dir()
     if out is None:
         return []
@@ -125,11 +96,10 @@ def export_sim(
     write_chrome_trace(paths[0], sim.trace)
     write_metrics(paths[1], sim.metrics, sim)
     blame = CausalGraph.from_trace(sim.trace).blame()
-    atomic_write_json(paths[2], blame.as_dict())
+    blame_doc = blame.as_dict()
+    atomic_write_json(paths[2], blame_doc)
     _record_fleet(
-        name, out,
-        metrics_doc=metrics_dict(sim.metrics, sim),
-        blame_doc=blame.as_dict(),
+        name, out, metrics_doc=metrics_dict(sim.metrics, sim), blame_doc=blame_doc
     )
     paths.append(out / f"{name}.manifest.json")
     if report:

@@ -38,9 +38,7 @@ def run_offload(extoll_spec=None, observe=True):
     cfg = {"n_cluster": 4, "n_booster": 8, "n_gateways": 2}
     if extoll_spec is not None:
         cfg["extoll"] = extoll_spec
-    system = DeepSystem(
-        MachineConfig(**cfg), trace=observe, metrics=observe
-    )
+    system = DeepSystem(MachineConfig(**cfg), observe=observe)
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}
 
@@ -167,32 +165,6 @@ class TestDeterminismAndPerturbation:
         assert list(a.sim.trace.wakes) == list(b.sim.trace.wakes)
 
 
-class TestTruncatedRing:
-    def test_ring_truncation_flags_blame_partial(self):
-        sim = Simulator(trace=True, max_trace_events=8)
-
-        def stage(sim, ev_in, ev_out, i):
-            if ev_in is not None:
-                yield ev_in
-            with sim.trace.span("ompss", f"stage{i}"):
-                yield sim.timeout(1.0)
-            if ev_out is not None:
-                ev_out.succeed()
-
-        prev = None
-        for i in range(40):
-            nxt = sim.event(f"e{i}")
-            sim.process(stage(sim, prev, nxt, i), name=f"s{i}")
-            prev = nxt
-        sim.run()
-        assert sim.trace.dropped_spans > 0
-        from repro.obs.critpath import CausalGraph
-
-        graph = CausalGraph.from_trace(sim.trace)
-        assert graph.partial
-        assert graph.blame().partial
-
-
 class TestEnabledOverheadSanity:
     def test_tracing_on_is_not_catastrophic(self):
         """Loose sanity bound: the per-event tagging cost with tracing
@@ -201,7 +173,7 @@ class TestEnabledOverheadSanity:
         disabled-path budget lives in scripts/bench_regression.py)."""
 
         def loop(trace):
-            sim = Simulator(trace=trace)
+            sim = Simulator(observe=trace)
 
             def ticker(sim):
                 for _ in range(2000):

@@ -126,7 +126,7 @@ def test_interface_whose_fabric_was_dropped_names_the_fabric():
 
 
 def test_trace_recorder_whose_simulator_was_dropped_names_the_simulator():
-    trace = Simulator(trace=True).trace
+    trace = Simulator(observe=True).trace
     with pytest.raises(OwnerFreedError, match="Simulator was freed"):
         trace.record("late")
     with pytest.raises(OwnerFreedError, match="Simulator was freed"):

@@ -38,7 +38,7 @@ def run_offload(**obs_kwargs):
 
 @pytest.fixture(scope="module")
 def observed():
-    return run_offload(trace=True, metrics=True, profile=True)
+    return run_offload(observe=True)
 
 
 class TestSpans:

@@ -14,7 +14,7 @@ from repro.units import mib
 
 
 def run_traced():
-    system = DeepSystem(MachineConfig(n_cluster=2, n_booster=4), trace=True)
+    system = DeepSystem(MachineConfig(n_cluster=2, n_booster=4), observe=True)
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
 
     def main(proc):
@@ -66,7 +66,7 @@ def test_ompss_task_trace():
     from repro.apps import cholesky_graph
     from repro.simkernel import Simulator
 
-    sim = Simulator(trace=True)
+    sim = Simulator(observe=True)
     proc = Processor(sim, dataclasses.replace(XEON_PHI_KNC, n_cores=8))
     graph = cholesky_graph(4)
 

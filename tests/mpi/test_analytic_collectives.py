@@ -185,8 +185,8 @@ class TestCrossValidation:
 # ---------------------------------------------------------------------------
 
 
-def make_world(n, fidelity=None, metrics=False):
-    sim = Simulator(seed=0, metrics=metrics)
+def make_world(n, fidelity=None, observe=False):
+    sim = Simulator(seed=0, observe=observe)
     eps = [f"cn{i}" for i in range(n)]
     fab = InfinibandFabric(sim, eps, leaf_radix=LEAF_RADIX)
     for e in eps:
@@ -202,7 +202,7 @@ class TestEnginePlumbing:
         assert world.analytic_collectives is None
 
     def test_analytic_world_counts_collectives(self):
-        sim, world, eps = make_world(4, fidelity="analytic", metrics=True)
+        sim, world, eps = make_world(4, fidelity="analytic", observe=True)
 
         def main(proc):
             yield from proc.comm_world.barrier()
@@ -220,7 +220,7 @@ class TestEnginePlumbing:
         # ibarrier runs on a private tag; program order across ranks is
         # not guaranteed, so the shared-rendezvous trick would deadlock
         # or mismatch.  It must fall through to the exact path.
-        sim, world, eps = make_world(4, fidelity="analytic", metrics=True)
+        sim, world, eps = make_world(4, fidelity="analytic", observe=True)
 
         def main(proc):
             req = proc.comm_world.ibarrier()

@@ -246,7 +246,7 @@ def shared_link_transfers(sim):
 
 
 def test_traced_flow_counters_of_a_shared_link():
-    sim = Simulator(seed=42, trace=True)
+    sim = Simulator(seed=42, observe=True)
     shared_link_transfers(sim)
     sim.run()
     flows = [c for c in sim.trace.counters if c[1].startswith("link.flows:")]

@@ -25,7 +25,7 @@ from tests.conftest import run_to_end
 
 
 def make_bridge(segment_bytes, fidelity="exact", seed=0, spec_kw=None):
-    sim = Simulator(seed=seed, trace=True)
+    sim = Simulator(seed=seed, observe=True)
     cns, bns, gws = ["cn0", "cn1"], ["bn0", "bn1"], ["bi0"]
     ib = InfinibandFabric(sim, cns + gws)
     for e in cns + gws:

@@ -19,7 +19,6 @@ from repro.obs.critpath import (
     resolve_what_if,
 )
 from repro.simkernel import Simulator
-from repro.simkernel.trace import TraceRecorder
 
 
 def seg(start, end, pid, category="ompss", name="work", **fields):
@@ -268,7 +267,7 @@ def test_blame_fractions_sum_to_one(durations, gaps, n_pids):
 
 class TestKernelWakeEdges:
     def test_cross_process_wake_recorded(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
         gate = sim.event("gate")
 
         def waiter(sim):
@@ -290,7 +289,7 @@ class TestKernelWakeEdges:
 
     def test_finish_wake_attributed_to_finisher(self):
         """Waiting on a process: the finish-wake's source is the child."""
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
 
         def child(sim):
             yield sim.timeout(2.0)
@@ -311,7 +310,7 @@ class TestKernelWakeEdges:
 
     def test_yield_on_finished_process_records_no_edge(self):
         """A process that never blocks must not inherit a stale cause."""
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
 
         def child(sim):
             yield sim.timeout(1.0)
@@ -332,7 +331,7 @@ class TestKernelWakeEdges:
                 assert tr.proc_names.get(src) != "c" or t_wake == t_trig
 
     def test_timeouts_record_no_wakes(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
 
         def p(sim):
             for _ in range(5):
@@ -361,18 +360,8 @@ class TestKernelWakeEdges:
 
 
 class TestPartialFlag:
-    def test_truncated_trace_marks_blame_partial(self):
-        tr = TraceRecorder(enabled=True, max_events=4)
-        tr.bind_clock(lambda: 0.0)
-        for i in range(10):
-            tr.record_wake((0, float(i)), object())
-        assert tr.dropped_wakes == 6
-        g = CausalGraph.from_trace(tr)
-        assert g.partial
-        assert g.blame().partial
-
     def test_from_trace_carries_names_and_segments(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
 
         def p(sim):
             with sim.trace.span("ompss", "work"):
@@ -381,10 +370,10 @@ class TestPartialFlag:
         sim.process(p(sim), name="worker")
         sim.run()
         g = CausalGraph.from_trace(sim.trace)
-        assert not g.partial
         assert g.makespan == pytest.approx(3.0)
         assert "worker" in g.proc_names.values()
         blame = g.blame()
+        assert not blame.partial
         assert blame.seconds["compute"] == pytest.approx(3.0)
 
 
@@ -426,7 +415,7 @@ class TestStructuralSegmentBytesWhatIf:
         )
         from repro.network.smfu import SMFUSpec
 
-        sim = Simulator(seed=seed, trace=True)
+        sim = Simulator(seed=seed, observe=True)
         cns, bns, gws = ["cn0", "cn1"], ["bn0", "bn1"], ["bi0"]
         ib = InfinibandFabric(sim, cns + gws)
         for e in cns + gws:
@@ -502,7 +491,7 @@ class TestStructuralSegmentBytesWhatIf:
         from repro.deep import DeepSystem, MachineConfig
 
         system = DeepSystem(
-            MachineConfig(n_cluster=2, n_booster=4), trace=True
+            MachineConfig(n_cluster=2, n_booster=4), observe=True
         )
 
         def main(proc):

@@ -79,10 +79,6 @@ class TestChromeTrace:
         assert inst[0]["name"] == "mpi.send"
         assert inst[0]["args"] == {"dest": 1}
 
-    def test_include_events_false_drops_instants(self):
-        doc = chrome_trace(_traced_recorder(), include_events=False)
-        assert not any(e["ph"] == "i" for e in doc["traceEvents"])
-
     def test_written_file_is_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"
         write_chrome_trace(path, _traced_recorder())
@@ -102,7 +98,7 @@ class TestJsonl:
 
 class TestMetricsDumps:
     def test_metrics_dict_includes_kernel_counters(self):
-        sim = Simulator(metrics=True)
+        sim = Simulator(observe=True)
 
         def proc(sim):
             yield sim.timeout(1.0)
@@ -126,6 +122,6 @@ class TestMetricsDumps:
         assert "c 1" in tpath.read_text()
 
     def test_render_text_with_sim(self):
-        sim = Simulator(metrics=True)
+        sim = Simulator(observe=True)
         text = render_metrics_text(sim.metrics, sim)
         assert "kernel.now 0" in text

@@ -16,7 +16,6 @@ from repro.obs.fleet import (
     manifest_from_exports,
     resolve_index_path,
     scalar_metrics,
-    trace_truncated,
     write_manifest_file,
 )
 
@@ -82,19 +81,6 @@ class TestScalarMetrics:
         assert out == {"a": 1, "b": 2.5}
 
 
-class TestTraceTruncated:
-    def test_empty_doc_is_clean(self):
-        assert not trace_truncated(None)
-        assert not trace_truncated({})
-
-    def test_truncated_flag(self):
-        assert trace_truncated({"trace": {"truncated": True}})
-
-    def test_dropped_counters(self):
-        assert trace_truncated({"trace": {"dropped_wakes": 3}})
-        assert not trace_truncated({"trace": {"dropped_wakes": 0}})
-
-
 class TestBuildManifest:
     def test_makespan_prefers_blame(self):
         m = build_manifest(
@@ -109,12 +95,9 @@ class TestBuildManifest:
                            {"metrics": {"end_time_s": 2.0}})
         assert m.makespan_s == 2.0
 
-    def test_partial_from_blame_or_trace(self):
+    def test_partial_from_blame(self):
         base = ("exp", {"x": 1}, 0, "cafe", {"metrics": {}})
         assert build_manifest(*base, blame_doc={"partial": True}).partial
-        assert build_manifest(
-            *base, metrics_doc={"trace": {"truncated": True}}
-        ).partial
         assert not build_manifest(*base).partial
 
     def test_run_id_defaults_to_job_digest(self):
@@ -403,43 +386,6 @@ class TestEnvRecording:
         # manifest artifact still written; no index anywhere
         assert (tmp_path / "obs" / "minibench.manifest.json").exists()
         assert list(tmp_path.glob("**/runs.jsonl")) == []
-
-
-class TestHarnessSidecar:
-    def test_record_and_load_roundtrip(self, tmp_path):
-        idx = FleetIndex.at_cache_root(tmp_path / "cache")
-        assert idx.load_harness() == []
-        idx.record_harness({"n_jobs": 4, "schema": 1})
-        idx.record_harness({"n_jobs": 2, "schema": 1})
-        docs = idx.load_harness()
-        assert [d["n_jobs"] for d in docs] == [4, 2]
-        assert idx.harness_path.name == "harness.jsonl"
-        assert idx.harness_path.parent == idx.path.parent
-
-    def test_load_harness_skips_torn_lines(self, tmp_path):
-        idx = FleetIndex.at_cache_root(tmp_path / "cache")
-        idx.record_harness({"n_jobs": 4})
-        with open(idx.harness_path, "a") as fh:
-            fh.write('{"n_jobs": 2, "torn')
-        assert [d["n_jobs"] for d in idx.load_harness()] == [4]
-
-    def test_load_harness_skips_a_line_that_is_not_utf8(self, tmp_path):
-        idx = FleetIndex.at_cache_root(tmp_path / "cache")
-        idx.record_harness({"n_jobs": 4})
-        with open(idx.harness_path, "ab") as fh:
-            fh.write(b"\xff\xfe not utf-8\n")
-        idx.record_harness({"n_jobs": 2})
-        assert [d["n_jobs"] for d in idx.load_harness()] == [4, 2]
-
-    def test_harness_sidecar_never_enters_index_digest(self, small_sweep):
-        cache, spec, report, tmp = small_sweep
-        idx = FleetIndex.at_cache_root(cache.root)
-        before = idx.digest()
-        idx.record_harness({"n_jobs": 2, "harness_wall_s": 0.5})
-        assert idx.digest() == before
-        # ... and rebuild parity (which derives from cache objects
-        # alone) is untouched by any number of harness records.
-        assert idx.digest(FleetIndex.rebuild_from_cache(cache)) == before
 
 
 class TestPruneRebuildReconciliation:

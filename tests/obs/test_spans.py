@@ -8,7 +8,7 @@ from repro.simkernel.trace import TraceRecorder
 
 @pytest.fixture
 def sim():
-    return Simulator(trace=True)
+    return Simulator(observe=True)
 
 
 class TestNesting:
@@ -122,51 +122,3 @@ class TestGuardIdiom:
         tr.record_span("x", "y", 0.0, 1.0)
         assert len(tr) == 0
         assert len(tr.spans) == 0
-
-
-class TestRingBuffer:
-    def test_default_is_unbounded(self):
-        tr = TraceRecorder(enabled=True)
-        assert tr.max_events is None
-        for i in range(1000):
-            tr.record("cat", i=i)
-        assert len(tr.events) == 1000
-        assert tr.dropped_events == 0
-
-    def test_events_ring_keeps_newest(self):
-        tr = TraceRecorder(enabled=True, max_events=10)
-        for i in range(25):
-            tr.record("cat", i=i)
-        assert len(tr.events) == 10
-        assert tr.dropped_events == 15
-        assert [ev["i"] for ev in tr.events] == list(range(15, 25))
-
-    def test_spans_ring_keeps_newest(self):
-        tr = TraceRecorder(enabled=True, max_events=5)
-        for i in range(12):
-            tr.record_span("cat", f"s{i}", float(i), float(i + 1))
-        assert len(tr.spans) == 5
-        assert tr.dropped_spans == 7
-        assert [sp.name for sp in tr.spans] == [f"s{i}" for i in range(7, 12)]
-
-    def test_clear_resets_drop_counters(self):
-        tr = TraceRecorder(enabled=True, max_events=1)
-        tr.record("a")
-        tr.record("b")
-        assert tr.dropped_events == 1
-        tr.clear()
-        assert tr.dropped_events == 0
-        assert len(tr.events) == 0
-
-    def test_simulator_forwards_max_trace_events(self):
-        sim = Simulator(trace=True, max_trace_events=3)
-
-        def proc(sim):
-            for _ in range(10):
-                yield sim.timeout(1.0)
-                sim.trace.record("tick")
-
-        sim.process(proc(sim))
-        sim.run()
-        assert len(sim.trace.events) == 3
-        assert sim.trace.dropped_events == 7

@@ -219,6 +219,30 @@ class TestFleetState:
         # busy = 0 (hit) + 2 + 3 + 10 = 15s over 2 workers * 16s window.
         assert state.utilization() == pytest.approx(15.0 / 32.0)
 
+    def test_utilization_divides_by_the_pool_that_ran(self):
+        # sweep.start announced 2 workers before the cache pass;
+        # sweep.end reports the pool that ran the misses: 1 worker.
+        events = synthetic_events()
+        events[-1] = dict(events[-1], n_workers=1)
+        assert FleetState().apply_all(events[:-1]).n_workers == 2
+        state = FleetState().apply_all(events)
+        assert state.n_workers == 1
+        assert state.utilization() == pytest.approx(15.0 / 16.0)
+        assert summarize(events)["n_workers"] == 1
+        assert "worker utilization 94%" in render_top(snapshot(state))
+
+    def test_pool_size_is_the_largest_of_ended_sweeps(self):
+        # A cold sweep ran 2 workers; the warm one, all cache hits, none.
+        cold = synthetic_events()
+        cold[-1] = dict(cold[-1], n_workers=2)
+        warm = [dict(e) for e in synthetic_events()]
+        for e in warm:
+            e["t"] += 100.0
+            if "job" in e:
+                e["job"] += 4
+        warm[-1]["n_workers"] = 0
+        assert FleetState().apply_all(cold + warm).n_workers == 2
+
     def test_accumulates_across_multiple_sweeps(self):
         # A cold+warm smoke shares one channel: totals accumulate.
         cold = synthetic_events()

@@ -113,7 +113,7 @@ class TestInstrumentedSources:
     def test_resource_queue_depth_changes_recorded(self):
         from repro.simkernel.resources import Resource
 
-        sim = Simulator(trace=True)
+        sim = Simulator(observe=True)
         res = Resource(sim, capacity=1, name="cores")
 
         def user(sim, hold):

@@ -55,7 +55,7 @@ def test_trace_disabled_records_nothing():
 
 
 def test_trace_records_with_sim_clock():
-    sim = Simulator(trace=True)
+    sim = Simulator(observe=True)
 
     def p(sim):
         yield sim.timeout(2.0)

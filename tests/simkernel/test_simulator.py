@@ -111,6 +111,50 @@ def test_step_on_drained_queue_raises(sim):
         sim.step()
 
 
+def test_observe_turns_on_trace_metrics_and_profiling():
+    from repro.obs.metrics import MetricsRegistry
+    from repro.simkernel import Resource
+
+    sim = Simulator(observe=True)
+    assert sim.observe and sim.trace.enabled
+    assert isinstance(sim.metrics, MetricsRegistry)
+    Resource(sim, capacity=1, name="engine")
+    assert list(sim.profile_stats()["resources"]) == ["engine"]
+
+
+def test_deep_system_observe_reaches_its_simulator():
+    from repro import DeepSystem, MachineConfig
+    from repro.obs.metrics import MetricsRegistry
+
+    system = DeepSystem(MachineConfig(n_cluster=1, n_booster=1), observe=True)
+    assert system.sim.trace.enabled
+    assert isinstance(system.sim.metrics, MetricsRegistry)
+    assert system.sim.profile_stats()["resources"]
+
+
+def test_unobserved_by_default(sim):
+    from repro.obs.metrics import NULL_METRICS
+
+    assert not sim.observe and not sim.trace.enabled
+    assert sim.metrics is NULL_METRICS
+    with pytest.raises(SimulationError):
+        sim.profile_stats()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"trace": True}, {"metrics": True}, {"profile": True},
+     {"max_trace_events": 8}],
+)
+def test_the_old_observability_keywords_are_gone(kwargs):
+    from repro import DeepSystem
+
+    with pytest.raises(TypeError):
+        Simulator(**kwargs)
+    with pytest.raises(TypeError):
+        DeepSystem(**kwargs)
+
+
 def test_profile_stats_requires_profile_mode(sim):
     with pytest.raises(SimulationError):
         sim.profile_stats()
@@ -119,7 +163,7 @@ def test_profile_stats_requires_profile_mode(sim):
 def test_profile_stats_counters():
     from repro.simkernel import Resource
 
-    sim = Simulator(profile=True)
+    sim = Simulator(observe=True)
     res = Resource(sim, capacity=1, name="engine")
 
     def worker(sim, res):
@@ -147,7 +191,7 @@ def test_profile_stats_counters():
 def test_profile_stats_counts_try_acquire_grants():
     from repro.simkernel import Resource
 
-    sim = Simulator(profile=True)
+    sim = Simulator(observe=True)
     res = Resource(sim, capacity=2, name="links")
     tok = res.try_acquire()
     assert tok is not None

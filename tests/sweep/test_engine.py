@@ -197,9 +197,7 @@ def test_telemetry_does_not_perturb_digest(tmp_path):
     assert plain.telemetry is None and with_tele.telemetry is not None
 
 
-def test_telemetry_writes_summary_and_harness_record(tmp_path):
-    from repro.obs.fleet import FleetIndex
-
+def test_telemetry_writes_summary(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     channel = tmp_path / "telemetry.jsonl"
     report = run_sweep(SPEC, jobs=1, cache=cache, telemetry=channel)
@@ -207,9 +205,45 @@ def test_telemetry_writes_summary_and_harness_record(tmp_path):
     assert summary["n_jobs"] == 4
     assert summary["n_completed"] == len(report.results)
     assert summary["cache"]["stores"] == 4
-    harness = FleetIndex.at_cache_root(cache.root).load_harness()
-    assert len(harness) == 1
-    assert harness[0]["n_jobs"] == 4
+    assert summary == report.telemetry
+
+
+def test_utilization_divides_by_the_pool_that_ran(tmp_path):
+    """``sweep.start`` announces one worker per job before the cache
+    pass; a ``-j 2`` sweep with one miss runs a pool of one worker,
+    and its utilization is that worker's busy share of the wall."""
+    from repro.obs.telemetry import read_events
+
+    cache = ResultCache(tmp_path / "cache")
+    overrides = {"pingpong": SPEC.overrides["pingpong"]}
+    warm = SweepSpec(experiments=["pingpong"], seeds=[0], overrides=overrides)
+    run_sweep(warm, jobs=1, cache=cache)
+    cold = SweepSpec(
+        experiments=["pingpong"], seeds=[0, 1], overrides=overrides
+    )
+    channel = tmp_path / "telemetry.jsonl"
+    report = run_sweep(cold, jobs=2, cache=cache, telemetry=channel)
+    events = read_events(channel)
+    start, end = events[0], events[-1]
+    assert start["kind"] == "sweep.start" and start["n_workers"] == 2
+    assert end["kind"] == "sweep.end" and end["n_workers"] == 1
+    busy = sum(e["wall_s"] for e in events if e["kind"] == "job.end")
+    tele = report.telemetry
+    assert tele["n_ran"] == 1 and tele["n_workers"] == 1
+    assert tele["utilization"] == pytest.approx(
+        min(busy / (end["t"] - start["t"]), 1.0)
+    )
+
+
+def test_sweep_end_reports_no_workers_when_every_job_is_a_hit(tmp_path):
+    from repro.obs.telemetry import read_events
+
+    cache = ResultCache(tmp_path / "cache")
+    run_sweep(SPEC, jobs=1, cache=cache)
+    channel = tmp_path / "telemetry.jsonl"
+    run_sweep(SPEC, jobs=2, cache=cache, telemetry=channel)
+    end = read_events(channel)[-1]
+    assert end["kind"] == "sweep.end" and end["n_workers"] == 0
 
 
 def _follow(channel):
