@@ -99,6 +99,12 @@ echo "== fleet observability: sweep -> rebuild parity -> sentinel =="
 python -m repro sweep --experiments pingpong,checkpoint_resilience --seeds 0:3 \
     --jobs 1 --cache-dir "$FLEET_TMP/cache" --obs-dir "$FLEET_TMP/obs" \
     --quiet > /dev/null
+STRAY=$(find "$FLEET_TMP/obs" "$FLEET_TMP/cache" -name '*.manifest.json')
+if [ -n "$STRAY" ]; then
+  echo "fleet check FAILED: a sweep job's only manifest is its index record, but found:"
+  echo "$STRAY"
+  exit 1
+fi
 python -m repro obs rebuild --cache-dir "$FLEET_TMP/cache" --check
 python -m repro obs sentinel --cache-dir "$FLEET_TMP/cache" \
     --baseline benchmarks/baselines
@@ -114,9 +120,17 @@ echo "== fidelity smoke (analytic 100k-rank collective, closed-form) =="
 python -m repro sweep --experiments collective_scale --seeds 0 --no-cache \
     --quiet --set ranks=100000 > "$(mktemp)"
 
-echo "== critical-path smoke =="
-python -m repro demo --blame --what-if extoll.bw=2 --what-if spawn.latency=0.25 \
+echo "== critical-path smoke (one observed demo, one demo record in the index) =="
+REPRO_FLEET_INDEX="$FLEET_TMP/demo.jsonl" python -m repro demo --blame \
+    --what-if extoll.bw=2 --what-if spawn.latency=0.25 \
     --what-if smfu.segment_bytes=0.25 \
     --report --report-top 3 > "$(mktemp)"
+python - "$FLEET_TMP/demo.jsonl" <<'PYEOF'
+import json, sys
+records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+sources = [r.get("source") for r in records]
+assert sources == ["demo"], f"expected one demo record, got {sources}"
+print("demo index ok: one demo record")
+PYEOF
 
 echo "== ci checks passed =="

@@ -189,7 +189,8 @@ def offload_graph_collective(
             raise OffloadError("the root must supply the task graph")
         if plan is None:
             plan = partition_tasks(graph, n_ranks, strategy)
-        in_by_rank = [external_bytes_by_rank(plan)[r] for r in range(n_ranks)]
+        external = external_bytes_by_rank(plan)
+        in_by_rank = [external[r] for r in range(n_ranks)]
         sends = [
             proc.isend(
                 intercomm,

@@ -176,10 +176,15 @@ class DeepSystem:
         write_metrics(path, self.sim.metrics, self.sim)
 
     def contention_report(self, top: int = 5) -> str:
-        """Hottest links / gateways / engines, as a text report."""
-        from repro.obs.report import system_report
+        """Hottest links / gateways / engines, as a text report; a
+        traced run adds critical-path seconds per link and gateway."""
+        from repro.obs.report import contention_report
 
-        return system_report(self, top=top)
+        blame = self.blame_report() if self.sim.trace.enabled else None
+        return contention_report(
+            self.sim, fabrics=self.machine.fabrics,
+            gateways=self.machine.gateways, top=top, blame=blame,
+        )
 
     # -- causal analysis ---------------------------------------------------
     def causal_graph(self):

@@ -57,14 +57,14 @@ _EXPORTS = {
         ),
         "fleet": (
             "FLEET_INDEX_ENV", "FleetIndex", "RunManifest", "build_manifest",
-            "manifest_from_exports", "manifest_from_system",
+            "manifest_from_exports",
         ),
         "metrics": (
             "Counter", "DEFAULT_SIZE_BUCKETS", "DEFAULT_TIME_BUCKETS", "Gauge",
             "Histogram", "MetricsRegistry", "NULL_METRICS", "NullMetrics",
             "log_buckets", "merge_histograms",
         ),
-        "report": ("contention_report", "link_blame", "system_report"),
+        "report": ("contention_report", "link_blame"),
         "timeline": (
             "chrome_counter_events", "counter_series", "resample",
             "write_counters_csv",

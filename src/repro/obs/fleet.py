@@ -37,9 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from repro.fsutil import (
-    append_line, atomic_write_json, ensure_parent, read_json_lines,
-)
+from repro.fsutil import append_line, ensure_parent, read_json_lines
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_SCHEMA = 1
@@ -91,8 +89,8 @@ class RunManifest:
     """Compact, deterministic summary of one observed (or plain) run."""
 
     run_id: str
-    #: ``"sweep"`` (engine jobs), ``"bench"`` (REPRO_OBS_DIR exports)
-    #: or ``"demo"`` (CLI quickstart).
+    #: ``"sweep"`` (engine jobs), ``"bench"`` (REPRO_OBS_DIR exports of
+    #: the benches) or ``"demo"`` (an observed ``python -m repro demo``).
     source: str
     experiment: str
     #: Effective config (``{}`` for bench/demo runs, which have none).
@@ -107,8 +105,8 @@ class RunManifest:
     blame_s: dict[str, float] = field(default_factory=dict)
     #: Blame as fractions of the makespan.
     blame_fractions: dict[str, float] = field(default_factory=dict)
-    #: True when the trace ring dropped records or the blame walk was
-    #: partial: the numbers cover only part of the run.
+    #: True when the blame walk was partial: the numbers cover only part
+    #: of the run.
     partial: bool = False
     #: Run status: ``"ok"`` for completed runs, ``"quarantined"`` for
     #: sweep jobs that exhausted their failure-policy retry budget.
@@ -185,6 +183,21 @@ def _makespan_from_metrics(metrics: Mapping[str, float]) -> Optional[float]:
     return None
 
 
+def _blame_makespan(blame_doc: Optional[Mapping[str, Any]]) -> Optional[float]:
+    """The makespan of a blame export, or ``None`` when it has none.
+
+    Zero-length spans are dropped, so a walk that found no segment (a
+    run on bare timeouts, say) reports 0.  That says nothing about how
+    long the run took, so :func:`build_manifest` falls back to the
+    payload's makespan metric and :func:`manifest_from_exports` to the
+    kernel clock.
+    """
+    value = (blame_doc or {}).get("makespan_s")
+    if value is None or float(value) <= 0:
+        return None
+    return float(value)
+
+
 def build_manifest(
     experiment: str,
     config: Mapping[str, Any],
@@ -207,10 +220,8 @@ def build_manifest(
 
     metrics = scalar_metrics(payload.get("metrics", {}))
     partial = bool(blame_doc.get("partial")) if blame_doc else False
-    makespan = None
-    if blame_doc is not None and blame_doc.get("makespan_s") is not None:
-        makespan = float(blame_doc["makespan_s"])
-    else:
+    makespan = _blame_makespan(blame_doc)
+    if makespan is None:
         makespan = _makespan_from_metrics(metrics)
     if run_id is None:
         run_id = job_digest(experiment, dict(config), int(seed or 0), code_version)
@@ -231,7 +242,7 @@ def build_manifest(
 
 def load_export(path) -> dict:
     """Load one JSON export artifact (``*.metrics.json``,
-    ``*.blame.json``, ``*.manifest.json``) exactly as written.
+    ``*.blame.json``) exactly as written.
 
     This is the reader the round-trip property tests pin: a document
     written by :mod:`repro.obs.export` / :mod:`repro.fsutil` must come
@@ -312,10 +323,10 @@ def manifest_from_exports(
 
         code_version = _cv()
     metrics: dict[str, float] = {}
+    kernel = (metrics_doc or {}).get("kernel") or {}
     if metrics_doc:
         for group in ("counters", "gauges"):
             metrics.update(scalar_metrics(metrics_doc.get(group) or {}))
-        kernel = metrics_doc.get("kernel") or {}
         if "now" in kernel:
             metrics["kernel.events_processed"] = kernel.get(
                 "events_processed", 0
@@ -337,11 +348,9 @@ def manifest_from_exports(
             default=str,
         ).encode()
     ).hexdigest()
-    makespan = None
-    if blame_doc is not None and blame_doc.get("makespan_s") is not None:
-        makespan = float(blame_doc["makespan_s"])
-    elif metrics_doc and (metrics_doc.get("kernel") or {}).get("now") is not None:
-        makespan = float(metrics_doc["kernel"]["now"])
+    makespan = _blame_makespan(blame_doc)
+    if makespan is None and kernel.get("now") is not None:
+        makespan = float(kernel["now"])
     return RunManifest(
         run_id=run_id,
         source=source,
@@ -354,19 +363,6 @@ def manifest_from_exports(
         blame_s=dict((blame_doc or {}).get("seconds") or {}),
         blame_fractions=dict((blame_doc or {}).get("fractions") or {}),
         partial=bool((blame_doc or {}).get("partial")),
-    )
-
-
-def manifest_from_system(system, name: str, source: str = "demo") -> RunManifest:
-    """Manifest of a live observed :class:`~repro.deep.system.DeepSystem`."""
-    from repro.obs.export import metrics_dict
-
-    metrics_doc = metrics_dict(system.sim.metrics, system.sim)
-    blame_doc = None
-    if system.sim.trace.enabled:
-        blame_doc = system.blame_report().as_dict()
-    return manifest_from_exports(
-        name, metrics_doc=metrics_doc, blame_doc=blame_doc, source=source
     )
 
 
@@ -486,8 +482,3 @@ class FleetIndex:
         with atomic_open(self.path) as fh:
             for line in sorted(m.line() for m in manifests):
                 fh.write(line + "\n")
-
-
-def write_manifest_file(path, manifest: RunManifest) -> None:
-    """Write a standalone ``*.manifest.json`` export of *manifest*."""
-    atomic_write_json(path, manifest.as_dict())

@@ -108,18 +108,3 @@ def contention_report(
                 f"queued={res['queued']:<6} util={res['utilization']:.1%}"
             )
     return "\n".join(lines)
-
-
-def system_report(system, top: int = 5) -> str:
-    """Contention report for a :class:`~repro.deep.system.DeepSystem`.
-
-    When the run was traced, the report includes critical-path blame
-    seconds per link/gateway.
-    """
-    machine = system.machine
-    gateways = list(machine.bridge.gateways) if machine.bridge else []
-    blame = system.blame_report() if system.sim.trace.enabled else None
-    return contention_report(
-        system.sim, fabrics=machine.fabrics, gateways=gateways, top=top,
-        blame=blame,
-    )

@@ -5,7 +5,7 @@ sweep over seeds and configs; this package is the backbone that serves
 it at scale:
 
 * :mod:`repro.sweep.experiments` — the registry of sweepable
-  ``fn(config, seed) -> metrics`` experiment drivers;
+  ``fn(config, seed, obs_dir=None) -> metrics`` experiment drivers;
 * :mod:`repro.sweep.digests` — deterministic job digests keyed by
   ``(experiment, config, seed, code version)``;
 * :mod:`repro.sweep.cache` — the content-addressed, atomically-written
@@ -18,8 +18,8 @@ it at scale:
   bounded deterministic retries, pool-crash recovery, quarantine);
 * :mod:`repro.sweep.chaos` — the env-gated deterministic fault
   injector CI uses to prove chaos-ridden sweeps converge;
-* :mod:`repro.sweep.obsglue` — shared observability-export helpers
-  (also used by ``benchmarks/conftest.py``).
+* :mod:`repro.sweep.obsglue` — the observability exports of one run
+  into a given directory (also used by ``benchmarks/conftest.py``).
 
 Front-end: ``python -m repro sweep`` (see ``docs/SWEEP.md``).
 

@@ -6,7 +6,7 @@ fans the misses out across a process pool whose workers start from a
 fresh interpreter state (``spawn`` start method).  When observability
 is requested, every job gets its own private staging directory for
 exports, which the engine promotes into the cache entry and then
-materialises into the user's ``REPRO_OBS_DIR``.
+materialises into the sweep's obs dir.
 
 Determinism: the simulator promises bit-identical results for identical
 ``(config, seed)`` regardless of which process runs them, so a fanned
@@ -35,12 +35,7 @@ from repro.errors import (
     ResultIntegrityError,
     WorkerCrashError,
 )
-from repro.obs.fleet import (
-    FLEET_INDEX_ENV,
-    FleetIndex,
-    RunManifest,
-    manifest_from_artifacts,
-)
+from repro.obs.fleet import FleetIndex, RunManifest, manifest_from_artifacts
 from repro.sweep import digests
 from repro.sweep.cache import ResultCache
 from repro.sweep.chaos import (
@@ -53,7 +48,6 @@ from repro.sweep.chaos import (
     corrupt_payload,
 )
 from repro.sweep.experiments import get_experiment
-from repro.sweep.obsglue import OBS_DIR_ENV
 from repro.sweep.policy import PROPAGATE, FailurePolicy, JobFailure
 from repro.sweep.spec import Job, SweepSpec
 
@@ -193,28 +187,12 @@ def execute_job(
 ) -> dict:
     """Run one job in this process and return its payload.
 
-    With *staging_dir*, observability exports are redirected there for
-    the duration of the job (``REPRO_OBS_DIR`` is saved/restored), so
-    concurrent jobs never interleave artifacts.
+    With *staging_dir* the job runs observed and writes its exports
+    there (its own directory, so concurrent jobs never interleave
+    artifacts).  The engine indexes the run itself, from the payload
+    and those exports.
     """
-    exp = get_experiment(experiment)
-    saved = os.environ.get(OBS_DIR_ENV)
-    # The engine records the authoritative fleet manifest itself;
-    # experiment-internal exports must not double-index the run.
-    saved_fleet = os.environ.pop(FLEET_INDEX_ENV, None)
-    try:
-        if staging_dir is not None:
-            os.environ[OBS_DIR_ENV] = staging_dir
-        else:
-            os.environ.pop(OBS_DIR_ENV, None)
-        metrics = exp.fn(dict(config), int(seed))
-    finally:
-        if saved is None:
-            os.environ.pop(OBS_DIR_ENV, None)
-        else:
-            os.environ[OBS_DIR_ENV] = saved
-        if saved_fleet is not None:
-            os.environ[FLEET_INDEX_ENV] = saved_fleet
+    metrics = get_experiment(experiment).fn(dict(config), int(seed), staging_dir)
     return {"metrics": digests.canonical(metrics)}
 
 

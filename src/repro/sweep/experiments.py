@@ -1,13 +1,13 @@
 """The sweepable experiment registry.
 
-Each entry is a pure function ``fn(config, seed) -> dict`` that builds
-a fresh simulator, runs one scenario, and returns plain-JSON metrics —
-the unit of work the sweep engine fans out across processes and stores
-in the content-addressed cache.  These mirror the paper's experiment
-drivers (E6 offload crossover, E9 spawn cost, X13/X24 checkpointing,
-the determinism scenario's bridged all-to-all) in parameterised,
-seedable form; the ``benchmarks/`` suite remains the figure-faithful
-presentation layer on top of the same models.
+Each entry is a pure function ``fn(config, seed, obs_dir=None) -> dict``
+that builds a fresh simulator, runs one scenario, and returns plain-JSON
+metrics — the unit of work the sweep engine fans out across processes
+and stores in the content-addressed cache.  These mirror the paper's
+experiment drivers (E6 offload crossover, E9 spawn cost, X13/X24
+checkpointing, the determinism scenario's bridged all-to-all) in
+parameterised, seedable form; the ``benchmarks/`` suite remains the
+figure-faithful presentation layer on top of the same models.
 
 Conventions:
 
@@ -16,9 +16,11 @@ Conventions:
 * returned metrics must be JSON scalars/lists/dicts, no timestamps or
   wall-clock values (those belong to the engine's meta, not the
   payload);
-* observability is enabled exactly when ``REPRO_OBS_DIR`` is set (see
-  :mod:`repro.sweep.obsglue`); exports are written there and picked up
-  into the cache by the engine.
+* the run is observed exactly when *obs_dir* is given: the engine
+  passes the job's private staging directory, the function writes its
+  exports there through :func:`repro.sweep.obsglue.export_sim`, and the
+  engine promotes them into the job's cache entry.  Observing never
+  changes the returned metrics.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.errors import ConfigurationError
 from repro.sweep import obsglue
 from repro.units import kib
 
-ExperimentFn = Callable[[dict, int], dict]
+#: ``fn(config, seed, obs_dir=None) -> metrics``.
+ExperimentFn = Callable[..., dict]
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ EXPERIMENTS: dict[str, Experiment] = {}
 
 
 def register(name: str, title: str, headline: str, defaults: dict):
-    """Decorator adding ``fn(config, seed)`` to the registry."""
+    """Decorator adding ``fn(config, seed, obs_dir=None)`` to the registry."""
 
     def deco(fn: ExperimentFn) -> ExperimentFn:
         EXPERIMENTS[name] = Experiment(name, title, headline, fn, dict(defaults))
@@ -100,13 +103,13 @@ def effective_config(name: str, overrides: Mapping[str, Any]) -> dict:
     "end_time_s",
     {"rounds": 3, "sizes_kib": [1, 64, 1024], "n_pairs": 2},
 )
-def run_pingpong(config: dict, seed: int) -> dict:
+def run_pingpong(config: dict, seed: int, obs_dir=None) -> dict:
     """Neighbour ping-pong over one InfiniBand fabric."""
     from repro.mpi.world import MPIWorld
     from repro.network import InfinibandFabric
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, observe=obsglue.observing())
+    sim = Simulator(seed=seed, observe=obs_dir is not None)
     n_ranks = 2 * int(config["n_pairs"])
     endpoints = [f"cn{i}" for i in range(n_ranks)]
     ib = InfinibandFabric(sim, endpoints)
@@ -130,7 +133,7 @@ def run_pingpong(config: dict, seed: int) -> dict:
 
     world.create_world([(ep, None) for ep in endpoints], main)
     end = sim.run()
-    obsglue.export_sim(sim, f"pingpong_seed{seed}", fabrics=[ib], report=False)
+    obsglue.export_sim(sim, obs_dir, f"pingpong_seed{seed}")
     return {
         "end_time_s": end,
         "ib_bytes": ib.total_bytes(),
@@ -152,7 +155,7 @@ def run_pingpong(config: dict, seed: int) -> dict:
         "fidelity": "exact",
     },
 )
-def run_alltoall_bridge(config: dict, seed: int) -> dict:
+def run_alltoall_bridge(config: dict, seed: int, obs_dir=None) -> dict:
     """All ranks (cluster + booster) exchange across the bridge.
 
     ``fidelity`` is a tier string or ``{"collectives"|"smfu": tier}``
@@ -170,7 +173,7 @@ def run_alltoall_bridge(config: dict, seed: int) -> dict:
     from repro.network.smfu import SMFUSpec
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, observe=obsglue.observing())
+    sim = Simulator(seed=seed, observe=obs_dir is not None)
     fidelity = FidelityConfig.coerce(config["fidelity"])
     cns = [f"cn{i}" for i in range(int(config["n_cluster"]))]
     bns = [f"bn{i}" for i in range(int(config["n_booster"]))]
@@ -202,10 +205,7 @@ def run_alltoall_bridge(config: dict, seed: int) -> dict:
 
     world.create_world([(ep, None) for ep in cns + bns], main)
     end = sim.run()
-    obsglue.export_sim(
-        sim, f"alltoall_bridge_seed{seed}",
-        fabrics=[ib, ex], gateways=gws, report=False,
-    )
+    obsglue.export_sim(sim, obs_dir, f"alltoall_bridge_seed{seed}")
     return {
         "end_time_s": end,
         "ib_bytes": ib.total_bytes(),
@@ -234,7 +234,7 @@ def run_alltoall_bridge(config: dict, seed: int) -> dict:
         "calib_endpoints": 4,
     },
 )
-def run_collective_scale(config: dict, seed: int) -> dict:
+def run_collective_scale(config: dict, seed: int, obs_dir=None) -> dict:
     """Cost of one collective at *ranks* ranks.
 
     ``fidelity="analytic"`` calibrates a LogGP model off a small
@@ -274,7 +274,7 @@ def run_collective_scale(config: dict, seed: int) -> dict:
             "fidelity": "analytic",
         }
 
-    sim = Simulator(seed=seed, observe=obsglue.observing())
+    sim = Simulator(seed=seed, observe=obs_dir is not None)
     eps = [f"cn{i}" for i in range(ranks)]
     ib = InfinibandFabric(sim, eps)
     for ep in eps:
@@ -302,9 +302,7 @@ def run_collective_scale(config: dict, seed: int) -> dict:
 
     world.create_world([(ep, None) for ep in eps], main)
     end = sim.run()
-    obsglue.export_sim(
-        sim, f"collective_scale_seed{seed}", fabrics=[ib], report=False
-    )
+    obsglue.export_sim(sim, obs_dir, f"collective_scale_seed{seed}")
     return {
         "cost_s": end,
         "ranks": ranks,
@@ -319,7 +317,7 @@ def run_collective_scale(config: dict, seed: int) -> dict:
     "offload_elapsed_s",
     {"n_cluster": 2, "n_booster": 8, "n_gateways": 2, "tiles": 8, "sweeps": 2},
 )
-def run_offload_stencil(config: dict, seed: int) -> dict:
+def run_offload_stencil(config: dict, seed: int, obs_dir=None) -> dict:
     """The quickstart scenario: spawn workers, offload a stencil graph."""
     from repro.apps import stencil_graph
     from repro.deep import (
@@ -338,7 +336,7 @@ def run_offload_stencil(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        observe=obsglue.observing(),
+        observe=obs_dir is not None,
     )
     system.register_command(OFFLOAD_WORKER_COMMAND, offload_worker)
     out = {}
@@ -354,7 +352,7 @@ def run_offload_stencil(config: dict, seed: int) -> dict:
     system.launch(main)
     system.run()
     result = out["result"]
-    obsglue.export_sim(system.sim, f"offload_stencil_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, obs_dir, f"offload_stencil_seed{seed}")
     return {
         "offload_elapsed_s": result.elapsed_s,
         "n_tasks": result.n_tasks,
@@ -379,7 +377,7 @@ def run_offload_stencil(config: dict, seed: int) -> dict:
         "n_gateways": 2,
     },
 )
-def run_coupled_modes(config: dict, seed: int) -> dict:
+def run_coupled_modes(config: dict, seed: int, obs_dir=None) -> dict:
     """One coupled-application run (mode x intensity point of E6)."""
     from repro.apps import coupled_application
     from repro.deep import DeepSystem, MachineConfig
@@ -400,10 +398,10 @@ def run_coupled_modes(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        observe=obsglue.observing(),
+        observe=obs_dir is not None,
     )
     report = run_application(system, app, mode=str(config["mode"]))
-    obsglue.export_sim(system.sim, f"coupled_modes_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, obs_dir, f"coupled_modes_seed{seed}")
     return {
         "total_time_s": report.total_time_s,
         "energy_joules": report.energy_joules,
@@ -417,7 +415,7 @@ def run_coupled_modes(config: dict, seed: int) -> dict:
     "spawn_s",
     {"n_children": 16, "n_cluster": 2, "n_booster": 32, "n_gateways": 2},
 )
-def run_spawn_cost(config: dict, seed: int) -> dict:
+def run_spawn_cost(config: dict, seed: int, obs_dir=None) -> dict:
     """Global-MPI spawn of a Booster child world; max latency per rank."""
     from repro.deep import DeepSystem, MachineConfig
 
@@ -428,7 +426,7 @@ def run_spawn_cost(config: dict, seed: int) -> dict:
             n_gateways=int(config["n_gateways"]),
         ),
         seed=seed,
-        observe=obsglue.observing(),
+        observe=obs_dir is not None,
     )
     times = {}
 
@@ -446,7 +444,7 @@ def run_spawn_cost(config: dict, seed: int) -> dict:
 
     system.launch(main)
     system.run()
-    obsglue.export_sim(system.sim, f"spawn_cost_seed{seed}", report=False)
+    obsglue.export_sim(system.sim, obs_dir, f"spawn_cost_seed{seed}")
     return {
         "spawn_s": max(times.values()),
         "end_time_s": system.now,
@@ -466,13 +464,13 @@ def run_spawn_cost(config: dict, seed: int) -> dict:
         "mtbf_s": 600.0,
     },
 )
-def run_checkpoint_resilience(config: dict, seed: int) -> dict:
+def run_checkpoint_resilience(config: dict, seed: int, obs_dir=None) -> dict:
     """Checkpoint/restart efficiency; the one seed-sensitive experiment
     (failure times are drawn from the seeded ``checkpoint`` stream)."""
     from repro.resilience.checkpoint import simulate_checkpointed_run
     from repro.simkernel.simulator import Simulator
 
-    sim = Simulator(seed=seed, observe=obsglue.observing())
+    sim = Simulator(seed=seed, observe=obs_dir is not None)
     stats = []
 
     def main():
@@ -489,7 +487,7 @@ def run_checkpoint_resilience(config: dict, seed: int) -> dict:
     sim.process(main(), name="checkpointed-run")
     sim.run()
     st = stats[0]
-    obsglue.export_sim(sim, f"checkpoint_resilience_seed{seed}", report=False)
+    obsglue.export_sim(sim, obs_dir, f"checkpoint_resilience_seed{seed}")
     return {
         "elapsed_s": st.elapsed_s,
         "work_s": st.work_s,

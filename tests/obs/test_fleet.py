@@ -16,7 +16,6 @@ from repro.obs.fleet import (
     manifest_from_exports,
     resolve_index_path,
     scalar_metrics,
-    write_manifest_file,
 )
 
 
@@ -95,6 +94,15 @@ class TestBuildManifest:
                            {"metrics": {"end_time_s": 2.0}})
         assert m.makespan_s == 2.0
 
+    def test_a_blame_walk_without_segments_is_no_makespan(self):
+        # A run with no traced segment reports makespan 0 in its blame.
+        m = build_manifest(
+            "exp", {"x": 1}, 0, "cafe",
+            {"metrics": {"elapsed_s": 2400.0}},
+            blame_doc={"makespan_s": 0.0, "seconds": {}, "fractions": {}},
+        )
+        assert m.makespan_s == 2400.0
+
     def test_partial_from_blame(self):
         base = ("exp", {"x": 1}, 0, "cafe", {"metrics": {}})
         assert build_manifest(*base, blame_doc={"partial": True}).partial
@@ -148,6 +156,13 @@ class TestManifestFromExports:
         # deterministic
         m2 = manifest_from_exports("bench1", metrics_doc=doc, code_version="c")
         assert m2.run_id == m.run_id
+
+    def test_a_blame_walk_without_segments_falls_back_to_the_clock(self):
+        m = manifest_from_exports(
+            "b", metrics_doc={"kernel": {"now": 3.5}},
+            blame_doc={"makespan_s": 0.0}, code_version="c",
+        )
+        assert m.makespan_s == 3.5
 
     def test_different_content_different_id(self):
         a = manifest_from_exports(
@@ -250,12 +265,6 @@ class TestFleetIndex:
         assert idx.digest() == idx.digest(ms)
         assert len(idx.load()) == 2
 
-    def test_write_manifest_file(self, tmp_path):
-        m = mk()
-        write_manifest_file(tmp_path / "m.json", m)
-        doc = json.loads((tmp_path / "m.json").read_text())
-        assert RunManifest.from_dict(doc) == m
-
 
 @pytest.fixture
 def small_sweep(tmp_path):
@@ -269,6 +278,41 @@ def small_sweep(tmp_path):
 
 
 class TestSweepIndexing:
+    def test_an_observed_sweep_keeps_one_manifest_per_job(self, small_sweep):
+        # The engine's index record is a job's only manifest: no
+        # ``*.manifest.json`` next to the exports or in the cache.
+        cache, spec, report, tmp = small_sweep
+        exported = sorted(p.name for p in (tmp / "obs").iterdir())
+        assert exported == sorted(
+            f"pingpong_seed{seed}.{kind}.json"
+            for seed in (0, 1) for kind in ("blame", "metrics", "trace")
+        )
+        assert list(tmp.rglob("*.manifest.json")) == []
+        for r in report.results:
+            names = {p.name for p in cache.artifact_paths(r.job.digest)}
+            assert names == {f"pingpong_seed{r.job.seed}.{kind}.json"
+                             for kind in ("blame", "metrics", "trace")}
+        records = FleetIndex.at_cache_root(cache.root).path.read_text()
+        assert sorted(json.loads(line)["run_id"] for line in
+                      records.splitlines()) == sorted(
+            r.job.digest for r in report.results)
+
+    def test_a_run_without_traced_segments_is_indexed_with_its_length(
+        self, tmp_path
+    ):
+        from repro.sweep.cache import ResultCache
+        from repro.sweep.engine import run_sweep, SweepSpec
+
+        cache = ResultCache(tmp_path / "cache")
+        spec = SweepSpec(experiments=["checkpoint_resilience"], seeds=[0],
+                         overrides={"*": {"work_s": 200.0, "mtbf_s": 120.0}})
+        report = run_sweep(spec, jobs=1, cache=cache, obs_dir=tmp_path / "obs")
+        [manifest] = FleetIndex.at_cache_root(cache.root).load()
+        assert manifest.blame_s == {}  # the blame walk found no segment
+        elapsed = report.results[0].payload["metrics"]["elapsed_s"]
+        assert elapsed > 0
+        assert manifest.makespan_s == elapsed
+
     def test_cold_sweep_indexes_every_job(self, small_sweep):
         cache, spec, report, tmp = small_sweep
         idx = FleetIndex.at_cache_root(cache.root)
@@ -357,16 +401,20 @@ class TestSweepIndexing:
 
 
 class TestEnvRecording:
+    """The bench entry point (``benchmarks/conftest.py``) exports under
+    ``REPRO_OBS_DIR`` and indexes under ``REPRO_FLEET_INDEX``."""
+
     def test_bench_export_appends_when_env_set(self, tmp_path, monkeypatch):
+        from benchmarks.conftest import export_metrics_only
         from repro.obs.metrics import MetricsRegistry
-        from repro.sweep.obsglue import export_metrics_only
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         monkeypatch.setenv(FLEET_INDEX_ENV, str(tmp_path / "fleet.jsonl"))
         reg = MetricsRegistry()
         reg.gauge("g").set(4.0)
-        paths = export_metrics_only(reg, "minibench")
-        assert all(p.exists() for p in paths)
+        export_metrics_only(reg, "minibench")
+        exported = [p.name for p in (tmp_path / "obs").iterdir()]
+        assert exported == ["minibench.metrics.json"]
         ms = FleetIndex(tmp_path / "fleet.jsonl").load()
         assert [m.experiment for m in ms] == ["minibench"]
         assert ms[0].source == "bench"
@@ -375,16 +423,23 @@ class TestEnvRecording:
         assert len(FleetIndex(tmp_path / "fleet.jsonl").load()) == 1
 
     def test_no_index_without_env(self, tmp_path, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.sweep.obsglue import export_metrics_only
+        from benchmarks.conftest import export_sim
+        from repro.simkernel.simulator import Simulator
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         monkeypatch.delenv(FLEET_INDEX_ENV, raising=False)
-        reg = MetricsRegistry()
-        reg.gauge("g").set(4.0)
-        export_metrics_only(reg, "minibench")
-        # manifest artifact still written; no index anywhere
-        assert (tmp_path / "obs" / "minibench.manifest.json").exists()
+        sim = Simulator(observe=True)
+
+        def wait():
+            yield sim.timeout(1.0)
+
+        sim.process(wait(), name="wait")
+        sim.run()
+        export_sim(sim, "minisim")
+        exported = sorted(p.name for p in (tmp_path / "obs").iterdir())
+        assert exported == [
+            "minisim.blame.json", "minisim.metrics.json", "minisim.trace.json"
+        ]
         assert list(tmp_path.glob("**/runs.jsonl")) == []
 
 

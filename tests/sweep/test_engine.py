@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,45 @@ def test_entry_without_artifacts_upgrades_when_obs_requested(tmp_path):
     assert upgraded.n_ran == 1  # re-ran to capture artifacts
     assert upgraded.results[0].payload == plain.results[0].payload
     assert (obs_dir / "checkpoint_resilience_seed0.metrics.json").exists()
+
+
+def test_experiment_gets_its_staging_dir_and_the_callers_environment(
+    tmp_path, monkeypatch
+):
+    from repro.sweep.experiments import EXPERIMENTS, Experiment
+
+    seen = []
+
+    def probe(config, seed, obs_dir=None):
+        seen.append((
+            obs_dir,
+            os.environ.get("REPRO_OBS_DIR"),
+            os.environ.get("REPRO_FLEET_INDEX"),
+        ))
+        if obs_dir is not None:
+            (Path(obs_dir) / f"probe_seed{seed}.txt").write_text(str(seed))
+        return {"seed": seed}
+
+    monkeypatch.setitem(
+        EXPERIMENTS, "probe",
+        Experiment("probe", "records its inputs", "seed", probe, {}),
+    )
+    monkeypatch.setenv("REPRO_OBS_DIR", "obs-dir-of-the-caller")
+    monkeypatch.setenv("REPRO_FLEET_INDEX", "index-of-the-caller")
+    obs = tmp_path / "obs"
+    run_sweep(SweepSpec(experiments=["probe"], seeds=[0, 1]), jobs=1, obs_dir=obs)
+    run_sweep(SweepSpec(experiments=["probe"], seeds=[2]), jobs=1)
+
+    staged = [Path(d) for d, _, _ in seen[:2]]
+    assert [d.name for d in staged] == ["job0", "job1"]
+    assert staged[0].parent != obs
+    assert seen[2][0] is None
+    assert {(obs_env, index_env) for _, obs_env, index_env in seen} == {
+        ("obs-dir-of-the-caller", "index-of-the-caller")
+    }
+    assert sorted(p.name for p in obs.iterdir()) == [
+        "probe_seed0.txt", "probe_seed1.txt"
+    ]
 
 
 def test_summary_and_report_dict(tmp_path):

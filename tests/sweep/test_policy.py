@@ -128,7 +128,7 @@ def test_chaos_draw_is_deterministic_per_digest_and_attempt():
 def boom_experiment():
     """A registered experiment that always raises."""
 
-    def fn(config, seed):
+    def fn(config, seed, obs_dir=None):
         raise RuntimeError(f"boom seed={seed}")
 
     EXPERIMENTS["boom"] = Experiment(

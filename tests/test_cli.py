@@ -60,6 +60,46 @@ def test_demo_with_observability_exports(capsys, tmp_path):
     assert dump["counters"]["smfu.bytes_forwarded"] > 0
 
 
+def test_demo_runs_one_scenario_observed_or_not(capsys, tmp_path, monkeypatch):
+    index = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("REPRO_FLEET_INDEX", str(index))
+    assert main(["demo"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert not index.exists()  # an unobserved demo records nothing
+    assert main(["demo", "--report"]) == 0
+    reported = capsys.readouterr().out.splitlines()
+    assert plain[0] == reported[0]
+    assert plain[0].startswith("offloaded ")
+
+
+def test_ci_demo_smoke_builds_one_causal_graph(capsys, tmp_path, monkeypatch):
+    from repro.obs.critpath import CausalGraph
+    from repro.obs.fleet import FleetIndex
+
+    builds = []
+    from_trace = CausalGraph.from_trace.__func__
+
+    def counting(cls, trace):
+        builds.append(trace)
+        return from_trace(cls, trace)
+
+    monkeypatch.setattr(CausalGraph, "from_trace", classmethod(counting))
+    index = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("REPRO_FLEET_INDEX", str(index))
+    assert main([
+        "demo", "--blame", "--what-if", "extoll.bw=2",
+        "--what-if", "spawn.latency=0.25", "--what-if", "smfu.segment_bytes=0.25",
+        "--report", "--report-top", "3",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert len(builds) == 1
+    assert "critical path: makespan" in out
+    assert sum(line.startswith("what-if ") for line in out.splitlines()) == 3
+    assert "critpath=" in out  # the report carries the same blame
+    [manifest] = FleetIndex(index).load()
+    assert manifest.source == "demo" and manifest.blame_s
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_reader_gone_before_output_exits_1_without_traceback(unbuffered):
     # The reading end is closed before the command starts, so its first
