@@ -6,7 +6,8 @@ script runs a scenario exercising every major subsystem — the event
 kernel, contended fabric transfers, MPI point-to-point and collectives,
 SMFU bridging with dynamic gateway selection, and checkpoint/restart —
 twice from scratch, digests everything observable (simulated times,
-byte counters, per-gateway load, checkpoint statistics) and exits 0
+byte counters, per-gateway load, checkpoint statistics; when
+observed, also the metrics, the whole trace and its blame) and exits 0
 only if the two digests agree and, at the default seed, equal the
 pinned digests below.
 
@@ -40,13 +41,14 @@ from repro.resilience.checkpoint import simulate_checkpointed_run  # noqa: E402
 from repro.simkernel.simulator import Simulator  # noqa: E402
 
 #: The scenario's digests at the default seed, with observability off
-#: and on.  They pin the simulated results, so a change that moves them
-#: fails here even when it moves them deterministically.  A deliberate
-#: model change updates both constants and says why.
+#: and on.  They pin the simulated results, and the observed one also
+#: pins the whole trace (see :func:`trace_digest`), so a change that
+#: moves either fails here even when it moves them deterministically.
+#: A deliberate model change updates both constants and says why.
 DEFAULT_SEED = 7
 SCENARIO_DIGEST = "a5d54620baef2e858c27d7e62cc31467fd2d0802991f0b491e0d5d03ca5323f4"
 SCENARIO_DIGEST_OBSERVED = (
-    "9575c192076fdb71f32bfcb48366f0c0ff66643debeba79c98a190dc9b304406"
+    "f02be3a7bc08dc8b7411eab399c9d4d870e95572e751574ab34c1c6494b7256d"
 )
 
 
@@ -109,10 +111,7 @@ def run_scenario(seed: int = DEFAULT_SEED, observe: bool = False) -> dict:
         blame = CausalGraph.from_trace(sim.trace).blame()
         observed = {
             "metrics": metrics_dict(sim.metrics, sim),
-            "n_trace_events": len(sim.trace.events),
-            "n_trace_spans": len(sim.trace.spans),
-            "n_trace_wakes": len(sim.trace.wakes),
-            "n_trace_counters": len(sim.trace.counters),
+            "trace": trace_digest(sim.trace),
             # Causal analysis must be as deterministic as the run.
             "blame": blame.as_dict(),
         }
@@ -145,6 +144,27 @@ def run_scenario(seed: int = DEFAULT_SEED, observe: bool = False) -> dict:
 def digest(result: dict) -> str:
     blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def trace_digest(trace) -> str:
+    """Digest of a trace's whole content, not just its size.
+
+    Covers every span (id, parent, category, name, start, end, process
+    and fields), every point event, wake edge and counter change point,
+    and the process names, so a renamed process or a re-parented span
+    moves it even when every count stays the same.
+    """
+    return digest({
+        "spans": [
+            [sp.span_id, sp.parent_id, sp.category, sp.name,
+             sp.start, sp.end, sp.proc, sp.fields]
+            for sp in trace.spans
+        ],
+        "events": [[ev.time, ev.category, ev.fields] for ev in trace.events],
+        "wakes": trace.wakes,
+        "counters": trace.counters,
+        "proc_names": trace.proc_names,
+    })
 
 
 def main(argv=None) -> int:

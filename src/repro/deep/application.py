@@ -242,7 +242,7 @@ def run_application(
         inter = booster_ctx.get("inter")
         if inter is not None and rank == 0:
             for r in range(inter.remote_size):
-                yield from proc.send(inter, r, 16, SHUTDOWN, PLAN_TAG)
+                yield from inter.send(r, 16, SHUTDOWN, PLAN_TAG)
         yield from comm.barrier()
 
     system.launch(main, n_ranks=n_ranks)

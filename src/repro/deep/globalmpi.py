@@ -42,7 +42,7 @@ def shutdown_booster_world(
 ):
     """Generator (root only): tell persistent workers to exit."""
     for r in range(intercomm.remote_size):
-        yield from proc.send(intercomm, r, 16, SHUTDOWN, PLAN_TAG)
+        yield from intercomm.send(r, 16, SHUTDOWN, PLAN_TAG)
 
 
 def global_latency(proc: "MPIProcess", intercomm: "Intercommunicator", peers=(0,)):
@@ -54,14 +54,15 @@ def global_latency(proc: "MPIProcess", intercomm: "Intercommunicator", peers=(0,
     results = {}
     for r in peers:
         t0 = proc.sim.now
-        yield from proc.send(intercomm, r, 8, "ping", tag=3_000_000)
-        yield from proc.recv(intercomm, r, tag=3_000_001)
+        yield from intercomm.send(r, 8, "ping", tag=3_000_000)
+        yield from intercomm.recv(r, tag=3_000_001)
         results[r] = proc.sim.now - t0
     return results
 
 
 def global_latency_responder(proc: "MPIProcess", n_pings: int = 1):
     """Generator (worker side): answer :func:`global_latency` pings."""
+    parent = proc.parent_comm
     for _ in range(n_pings):
-        _, status = yield from proc.recv(proc.parent_comm, tag=3_000_000)
-        yield from proc.send(proc.parent_comm, status.source, 8, "pong", tag=3_000_001)
+        _, status = yield from parent.recv(tag=3_000_000)
+        yield from parent.send(status.source, 8, "pong", tag=3_000_001)

@@ -95,7 +95,7 @@ def offload_graph(
 
     Returns an :class:`OffloadResult`.  ``transform_rate_bytes_per_s``
     charges the slide-25 data-layout transformation on the Cluster CPU
-    before shipping (None skips it).
+    before shipping and after collecting (None skips it).
     """
     n_ranks = intercomm.remote_size
     if plan is None:
@@ -105,60 +105,15 @@ def offload_graph(
             f"plan is for {plan.n_ranks} ranks, booster world has {n_ranks}"
         )
     start = proc.sim.now
-
-    in_by_rank = [0] * n_ranks
-    out_by_rank = [0] * n_ranks
-    for t in graph.tasks:
-        r = plan.assignment[t.task_id]
-        in_by_rank[r] += external_input_bytes(graph, t)
-        out_by_rank[r] += terminal_output_bytes(graph, t)
-    total_in = sum(in_by_rank)
-    total_out = sum(out_by_rank)
-
+    in_by_rank = external_bytes_by_rank(plan)
     if transform_rate_bytes_per_s:
-        yield proc.sim.timeout(total_in / transform_rate_bytes_per_s)
-
-    # Ship plans + inputs to every booster rank concurrently.  Results
-    # come back to this (root) rank.
-    my_rank = intercomm.rank
-    sends = [
-        proc.isend(
-            intercomm,
-            r,
-            plan_descriptor_bytes(plan, r) + in_by_rank[r],
-            value=(plan, r, my_rank),
-            tag=PLAN_TAG,
-        )
-        for r in range(n_ranks)
-    ]
-    yield from wait_all(proc.sim, [s for s in sends])
-
-    # Collect terminal outputs (workers reply when done).  All receives
-    # are pre-posted so the workers' rendezvous transfers overlap —
-    # a sequential recv loop would serialise every bulk result.  If
-    # this offload is killed (resilient retry), the outstanding recv
-    # processes are killed too so they cannot linger as orphans.
-    recvs = [proc.irecv(intercomm, ANY_SOURCE, RESULT_TAG) for _ in range(n_ranks)]
-    try:
-        results = yield from wait_all(proc.sim, recvs)
-    finally:
-        for r in recvs:
-            if r.event.is_alive:
-                r.event.kill("offload aborted")
-    stats = [value for value, _status in results]
-
+        yield proc.sim.timeout(sum(in_by_rank.values()) / transform_rate_bytes_per_s)
+    # Results come back to this (root) rank.
+    yield from _ship_plans(intercomm, plan, in_by_rank, [intercomm.rank] * n_ranks)
+    yield from _collect_results(intercomm, n_ranks)
     if transform_rate_bytes_per_s:
-        yield proc.sim.timeout(total_out / transform_rate_bytes_per_s)
-
-    return OffloadResult(
-        elapsed_s=proc.sim.now - start,
-        input_bytes=total_in,
-        output_bytes=total_out,
-        cross_traffic_bytes=plan.cross_traffic_bytes(),
-        n_tasks=len(graph.tasks),
-        n_ranks=n_ranks,
-        strategy=plan.strategy,
-    )
+        yield proc.sim.timeout(_output_bytes(plan) / transform_rate_bytes_per_s)
+    return _offload_result(intercomm, plan, start, in_by_rank)
 
 
 def offload_graph_collective(
@@ -189,47 +144,18 @@ def offload_graph_collective(
             raise OffloadError("the root must supply the task graph")
         if plan is None:
             plan = partition_tasks(graph, n_ranks, strategy)
-        external = external_bytes_by_rank(plan)
-        in_by_rank = [external[r] for r in range(n_ranks)]
-        sends = [
-            proc.isend(
-                intercomm,
-                r,
-                plan_descriptor_bytes(plan, r) + in_by_rank[r],
-                value=(plan, r, r % n_parents),
-                tag=PLAN_TAG,
-            )
-            for r in range(n_ranks)
-        ]
-        yield from wait_all(proc.sim, [s for s in sends])
+        in_by_rank = external_bytes_by_rank(plan)
+        result_to = [r % n_parents for r in range(n_ranks)]
+        yield from _ship_plans(intercomm, plan, in_by_rank, result_to)
 
     # Every parent collects from its assigned workers.
     mine = [r for r in range(n_ranks) if r % n_parents == comm.rank]
-    recvs = [proc.irecv(intercomm, ANY_SOURCE, RESULT_TAG) for _ in mine]
-    try:
-        if recvs:
-            yield from wait_all(proc.sim, recvs)
-    finally:
-        for r in recvs:
-            if r.event.is_alive:
-                r.event.kill("offload aborted")
+    yield from _collect_results(intercomm, len(mine))
     yield from comm.barrier()
 
     if comm.rank != root:
         return None
-    total_in = sum(in_by_rank)
-    total_out = sum(
-        terminal_output_bytes(plan.graph, t) for t in plan.graph.tasks
-    )
-    return OffloadResult(
-        elapsed_s=proc.sim.now - start,
-        input_bytes=total_in,
-        output_bytes=total_out,
-        cross_traffic_bytes=plan.cross_traffic_bytes(),
-        n_tasks=len(plan.graph.tasks),
-        n_ranks=n_ranks,
-        strategy=plan.strategy,
-    )
+    return _offload_result(intercomm, plan, start, in_by_rank)
 
 
 def external_bytes_by_rank(plan: OffloadPlan) -> dict[int, int]:
@@ -238,6 +164,70 @@ def external_bytes_by_rank(plan: OffloadPlan) -> dict[int, int]:
     for t in plan.graph.tasks:
         by_rank[plan.assignment[t.task_id]] += external_input_bytes(plan.graph, t)
     return by_rank
+
+
+def _output_bytes(plan: OffloadPlan) -> int:
+    """Terminal output bytes of the whole plan (returned to the Cluster)."""
+    return sum(terminal_output_bytes(plan.graph, t) for t in plan.graph.tasks)
+
+
+def _ship_plans(
+    intercomm: "Intercommunicator",
+    plan: OffloadPlan,
+    in_by_rank: dict[int, int],
+    result_to: list[int],
+):
+    """Generator: ship every Booster rank its plan slice and inputs.
+
+    The sends run concurrently; Booster rank ``r`` will return its
+    outputs to parent rank ``result_to[r]``.
+    """
+    sends = [
+        intercomm.isend(
+            r,
+            plan_descriptor_bytes(plan, r) + in_by_rank[r],
+            value=(plan, r, result_to[r]),
+            tag=PLAN_TAG,
+        )
+        for r in range(intercomm.remote_size)
+    ]
+    yield from wait_all(intercomm.proc.sim, sends)
+
+
+def _collect_results(intercomm: "Intercommunicator", n_results: int):
+    """Generator: receive *n_results* workers' outputs on this parent.
+
+    All receives are pre-posted so the workers' rendezvous transfers
+    overlap — a sequential recv loop would serialise every bulk result.
+    If this offload is killed (resilient retry), the outstanding recv
+    processes are killed too so they cannot linger as orphans.
+    """
+    recvs = [intercomm.irecv(ANY_SOURCE, RESULT_TAG) for _ in range(n_results)]
+    try:
+        if recvs:
+            yield from wait_all(intercomm.proc.sim, recvs)
+    finally:
+        for r in recvs:
+            if r.event.is_alive:
+                r.event.kill("offload aborted")
+
+
+def _offload_result(
+    intercomm: "Intercommunicator",
+    plan: OffloadPlan,
+    start: float,
+    in_by_rank: dict[int, int],
+) -> OffloadResult:
+    """The root's summary of an offload of *plan* begun at *start*."""
+    return OffloadResult(
+        elapsed_s=intercomm.proc.sim.now - start,
+        input_bytes=sum(in_by_rank.values()),
+        output_bytes=_output_bytes(plan),
+        cross_traffic_bytes=plan.cross_traffic_bytes(),
+        n_tasks=len(plan.graph.tasks),
+        n_ranks=intercomm.remote_size,
+        strategy=plan.strategy,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +249,8 @@ def persistent_offload_worker(proc: "MPIProcess"):
 
 
 def _serve_one(proc: "MPIProcess"):
-    value, status = yield from proc.recv(proc.parent_comm, ANY_SOURCE, PLAN_TAG)
+    parent = proc.parent_comm
+    value, status = yield from parent.recv(ANY_SOURCE, PLAN_TAG)
     if value == SHUTDOWN:
         return SHUTDOWN
     plan, my_rank, result_to = value
@@ -272,9 +263,7 @@ def _serve_one(proc: "MPIProcess"):
     out_bytes = sum(
         terminal_output_bytes(plan.graph, t) for t in plan.tasks_of(my_rank)
     )
-    yield from proc.send(
-        proc.parent_comm, result_to, max(out_bytes, 8), local, RESULT_TAG
-    )
+    yield from parent.send(result_to, max(out_bytes, 8), local, RESULT_TAG)
     return local
 
 
@@ -327,7 +316,7 @@ def execute_partition(
                 by_rank[dst] = by_rank.get(dst, 0) + graph.edge_bytes(t, consumer)
 
     arrivals: dict[int, Request] = {
-        pid: proc.irecv(comm, source=src, tag=pid) for pid, (src, _) in needed.items()
+        pid: comm.irecv(source=src, tag=pid) for pid, (src, _) in needed.items()
     }
     local_events = {t.task_id: sim.event(f"tdone:{t.task_id}") for t in my_tasks}
     data_sends: list[Request] = []
@@ -381,7 +370,7 @@ def execute_partition(
             yield sim.timeout(stage_latency_s)
         for dst, nbytes in sends.items():
             data_sends.append(
-                proc.isend(comm, dst, nbytes, value=None, tag=task.task_id)
+                comm.isend(dst, nbytes, value=None, tag=task.task_id)
             )
         local_events[task.task_id].succeed()
 

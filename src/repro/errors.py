@@ -75,10 +75,6 @@ class RankError(MPIError):
         super().__init__(f"{what} {rank} out of range for communicator of size {size}")
 
 
-class TruncationError(MPIError):
-    """A receive buffer is smaller than the matched incoming message."""
-
-
 class SpawnError(MPIError):
     """``MPI_Comm_spawn`` failed (no resources, bad command, ...)."""
 

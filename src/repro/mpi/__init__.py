@@ -1,9 +1,11 @@
 """Simulated MPI in the style of ParaStation MPI (slides 28/29).
 
 The layer gives each simulated MPI process a handle object
-(:class:`MPIProcess`) whose methods are *generators*: simulation
-processes ``yield from`` them, and communication time elapses on the
-simulated clock through the fabric models underneath.
+(:class:`MPIProcess`) that holds the rank's state, and communicators
+(:class:`Communicator`) through which the rank sends and receives.
+Their communication methods are *generators*: simulation processes
+``yield from`` them, and communication time elapses on the simulated
+clock through the fabric models underneath.
 
 Feature set (what the DEEP software stack needs):
 

@@ -129,27 +129,27 @@ class CartComm(Communicator):
             # Exchange with the +1 neighbour, receive from the -1 side.
             if hi is not None or lo is not None:
                 if hi is not None and lo is not None:
-                    val, _ = yield from self.proc.sendrecv(
-                        self, hi, size_bytes, value, source=lo,
+                    val, _ = yield from self.sendrecv(
+                        hi, size_bytes, value, source=lo,
                         send_tag=4_000_000 + dim, recv_tag=4_000_000 + dim,
                     )
                     received[(dim, -1)] = val
                 elif hi is not None:
-                    yield from self.proc.send(self, hi, size_bytes, value, 4_000_000 + dim)
+                    yield from self.send(hi, size_bytes, value, 4_000_000 + dim)
                 elif lo is not None:
-                    val, _ = yield from self.proc.recv(self, lo, 4_000_000 + dim)
+                    val, _ = yield from self.recv(lo, 4_000_000 + dim)
                     received[(dim, -1)] = val
             # And the mirror direction.
             if hi is not None and lo is not None:
-                val, _ = yield from self.proc.sendrecv(
-                    self, lo, size_bytes, value, source=hi,
+                val, _ = yield from self.sendrecv(
+                    lo, size_bytes, value, source=hi,
                     send_tag=4_100_000 + dim, recv_tag=4_100_000 + dim,
                 )
                 received[(dim, +1)] = val
             elif lo is not None:
-                yield from self.proc.send(self, lo, size_bytes, value, 4_100_000 + dim)
+                yield from self.send(lo, size_bytes, value, 4_100_000 + dim)
             elif hi is not None:
-                val, _ = yield from self.proc.recv(self, hi, 4_100_000 + dim)
+                val, _ = yield from self.recv(hi, 4_100_000 + dim)
                 received[(dim, +1)] = val
         return received
 

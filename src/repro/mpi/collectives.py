@@ -93,8 +93,8 @@ def barrier(comm: "Communicator", tag: int = COLL_TAG):
     while k < n:
         dst = (rank + k) % n
         src = (rank - k) % n
-        req = comm.proc.isend(comm, dst, 0, None, tag)
-        yield from comm.proc.recv(comm, src, tag)
+        req = comm.isend(dst, 0, None, tag)
+        yield from comm.recv(src, tag)
         yield from req.wait()
         k <<= 1
 
@@ -133,14 +133,14 @@ def bcast(comm: "Communicator", value: Any, root: int, size_bytes: int, tag: int
     while mask < n:
         if relrank & mask:
             src = (relrank - mask + root) % n
-            value, _ = yield from comm.proc.recv(comm, src, tag)
+            value, _ = yield from comm.recv(src, tag)
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if relrank + mask < n:
             dst = (relrank + mask + root) % n
-            yield from comm.proc.send(comm, dst, size_bytes, value, tag)
+            yield from comm.send(dst, size_bytes, value, tag)
         mask >>= 1
     return value
 
@@ -163,11 +163,11 @@ def reduce(comm: "Communicator", value: Any, op: Op, root: int, size_bytes: int,
             src_rel = relrank | mask
             if src_rel < n:
                 src = (src_rel + root) % n
-                other, _ = yield from comm.proc.recv(comm, src, tag)
+                other, _ = yield from comm.recv(src, tag)
                 acc = op(acc, other)
         else:
             dst = ((relrank & ~mask) + root) % n
-            yield from comm.proc.send(comm, dst, size_bytes, acc, tag)
+            yield from comm.send(dst, size_bytes, acc, tag)
             break
         mask <<= 1
     return acc if rank == root else None
@@ -234,10 +234,10 @@ def _allreduce_recursive_doubling(
     newrank: Optional[int]
     if rank < 2 * rem:
         if rank % 2 == 0:
-            yield from comm.proc.send(comm, rank + 1, size_bytes, acc, COLL_TAG)
+            yield from comm.send(rank + 1, size_bytes, acc, COLL_TAG)
             newrank = None
         else:
-            other, _ = yield from comm.proc.recv(comm, rank - 1, COLL_TAG)
+            other, _ = yield from comm.recv(rank - 1, COLL_TAG)
             acc = op(other, acc)
             newrank = rank // 2
     else:
@@ -248,8 +248,8 @@ def _allreduce_recursive_doubling(
         while mask < pof2:
             partner_new = newrank ^ mask
             partner = partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            other, _ = yield from comm.proc.sendrecv(
-                comm, partner, size_bytes, acc,
+            other, _ = yield from comm.sendrecv(
+                partner, size_bytes, acc,
                 source=partner, send_tag=COLL_TAG, recv_tag=COLL_TAG,
             )
             acc = op(acc, other)
@@ -258,9 +258,9 @@ def _allreduce_recursive_doubling(
     # Hand results back to the folded-away even ranks.
     if rank < 2 * rem:
         if rank % 2 == 0:
-            acc, _ = yield from comm.proc.recv(comm, rank + 1, COLL_TAG)
+            acc, _ = yield from comm.recv(rank + 1, COLL_TAG)
         else:
-            yield from comm.proc.send(comm, rank - 1, size_bytes, acc, COLL_TAG)
+            yield from comm.send(rank - 1, size_bytes, acc, COLL_TAG)
     return acc
 
 
@@ -281,15 +281,15 @@ def _allreduce_ring(comm: "Communicator", value: Any, op: Op, size_bytes: int):
     acc = value
     forward = value
     for _ in range(n - 1):
-        received = yield from comm.proc.sendrecv(
-            comm, right, chunk, forward,
+        received = yield from comm.sendrecv(
+            right, chunk, forward,
             source=left, send_tag=COLL_TAG, recv_tag=COLL_TAG,
         )
         forward = received[0]
         acc = op(acc, forward)
     for _ in range(n - 1):
-        yield from comm.proc.sendrecv(
-            comm, right, chunk, None,
+        yield from comm.sendrecv(
+            right, chunk, None,
             source=left, send_tag=COLL_TAG, recv_tag=COLL_TAG,
         )
     return acc
@@ -316,13 +316,11 @@ def gather(comm: "Communicator", value: Any, root: int, size_bytes: int):
             src_rel = relrank | mask
             if src_rel < n:
                 src = (src_rel + root) % n
-                other, _ = yield from comm.proc.recv(comm, src, COLL_TAG)
+                other, _ = yield from comm.recv(src, COLL_TAG)
                 bucket.update(other)
         else:
             dst = ((relrank & ~mask) + root) % n
-            yield from comm.proc.send(
-                comm, dst, size_bytes * len(bucket), bucket, COLL_TAG
-            )
+            yield from comm.send(dst, size_bytes * len(bucket), bucket, COLL_TAG)
             break
         mask <<= 1
     if rank == root:
@@ -355,7 +353,7 @@ def scatter(
     while mask < n:
         if relrank & mask:
             src = ((relrank & ~mask) + root) % n
-            bucket, _ = yield from comm.proc.recv(comm, src, COLL_TAG)
+            bucket, _ = yield from comm.recv(src, COLL_TAG)
             break
         mask <<= 1
     if bucket is None:  # pragma: no cover - defensive; root always has one
@@ -371,9 +369,7 @@ def scatter(
                 if dst_rel <= ((r - root) % n) < dst_rel + mask
             }
             if sub:
-                yield from comm.proc.send(
-                    comm, dst, size_bytes * len(sub), sub, COLL_TAG
-                )
+                yield from comm.send(dst, size_bytes * len(sub), sub, COLL_TAG)
                 for r in sub:
                     del bucket[r]
         mask >>= 1
@@ -403,8 +399,8 @@ def allgather(comm: "Communicator", value: Any, size_bytes: int):
     send_idx = rank
     for _ in range(n - 1):
         payload = (send_idx, result[send_idx])
-        received = yield from comm.proc.sendrecv(
-            comm, right, size_bytes, payload,
+        received = yield from comm.sendrecv(
+            right, size_bytes, payload,
             source=left, send_tag=COLL_TAG, recv_tag=COLL_TAG,
         )
         idx, val = received[0]
@@ -429,8 +425,8 @@ def alltoall(comm: "Communicator", values: Optional[list], size_bytes: int):
     for i in range(1, n):
         dst = (rank + i) % n
         src = (rank - i) % n
-        received = yield from comm.proc.sendrecv(
-            comm, dst, size_bytes, values[dst],
+        received = yield from comm.sendrecv(
+            dst, size_bytes, values[dst],
             source=src, send_tag=COLL_TAG, recv_tag=COLL_TAG,
         )
         result[src] = received[0]
@@ -446,10 +442,10 @@ def scan(comm: "Communicator", value: Any, op: Op, size_bytes: int):
         return _fold(op, contribs, range(rank + 1))
     acc = value
     if rank > 0:
-        other, _ = yield from comm.proc.recv(comm, rank - 1, COLL_TAG)
+        other, _ = yield from comm.recv(rank - 1, COLL_TAG)
         acc = op(other, acc)
     if rank < n - 1:
-        yield from comm.proc.send(comm, rank + 1, size_bytes, acc, COLL_TAG)
+        yield from comm.send(rank + 1, size_bytes, acc, COLL_TAG)
     return acc
 
 
@@ -481,7 +477,7 @@ def gatherv(
         result: list[Any] = [None] * n
         result[root] = value
         for _ in range(n - 1):
-            msg, status = yield from comm.proc.recv(comm, tag=COLL_TAG - 1)
+            msg, status = yield from comm.recv(tag=COLL_TAG - 1)
             src, val = msg
             if sizes is not None and status.count_bytes != sizes[src]:
                 raise MPIError(
@@ -490,9 +486,7 @@ def gatherv(
                 )
             result[src] = val
         return result
-    yield from comm.proc.send(
-        comm, root, size_bytes, (rank, value), COLL_TAG - 1
-    )
+    yield from comm.send(root, size_bytes, (rank, value), COLL_TAG - 1)
     return None
 
 
@@ -515,7 +509,7 @@ def scatterv(
         if sizes is None or len(sizes) != n:
             raise MPIError(f"scatterv needs {n} sizes at the root")
         reqs = [
-            comm.proc.isend(comm, r, sizes[r], values[r], COLL_TAG - 2)
+            comm.isend(r, sizes[r], values[r], COLL_TAG - 2)
             for r in range(n)
             if r != root
         ]
@@ -523,7 +517,7 @@ def scatterv(
 
         yield from wait_all(comm.proc.sim, reqs)
         return values[root]
-    value, _ = yield from comm.proc.recv(comm, root, COLL_TAG - 2)
+    value, _ = yield from comm.recv(root, COLL_TAG - 2)
     return value
 
 
@@ -540,8 +534,8 @@ def allgatherv(comm: "Communicator", value: Any, size_bytes: int):
     for _ in range(n - 1):
         block_size, _ = result[send_idx]
         payload = (send_idx, result[send_idx])
-        received = yield from comm.proc.sendrecv(
-            comm, right, block_size, payload,
+        received = yield from comm.sendrecv(
+            right, block_size, payload,
             source=left, send_tag=COLL_TAG - 3, recv_tag=COLL_TAG - 3,
         )
         idx, block = received[0]
@@ -580,15 +574,15 @@ def reduce_scatter(comm: "Communicator", values: list, op: Op, size_bytes: int):
     for s in range(n - 1):
         idx_send = (rank - s) % n
         idx_recv = (rank - s - 1) % n
-        received = yield from comm.proc.sendrecv(
-            comm, right, chunk, partial[idx_send],
+        received = yield from comm.sendrecv(
+            right, chunk, partial[idx_send],
             source=left, send_tag=COLL_TAG - 4, recv_tag=COLL_TAG - 4,
         )
         partial[idx_recv] = op(partial[idx_recv], received[0])
     complete = (rank + 1) % n
     # One final neighbour shift moves each completed block to its owner.
-    received = yield from comm.proc.sendrecv(
-        comm, right, chunk, partial[complete],
+    received = yield from comm.sendrecv(
+        right, chunk, partial[complete],
         source=left, send_tag=COLL_TAG - 5, recv_tag=COLL_TAG - 5,
     )
     return received[0]

@@ -14,16 +14,24 @@ inter-communicator back to the Cluster.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import CommunicatorError, OwnerFreedError, RankError
+from repro.errors import CommunicatorError, MPIError, OwnerFreedError
 from repro.mpi import collectives as coll
 from repro.mpi.group import Group
 from repro.mpi.ops import Op, SUM
-from repro.mpi.status import ANY_SOURCE, ANY_TAG
+from repro.mpi.pt2pt import (
+    HEADER_BYTES,
+    PacketHeader,
+    envelope_key,
+    make_match,
+    protocol_key,
+)
+from repro.mpi.request import PersistentRequest, Request
+from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
+from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.request import Request
     from repro.mpi.world import MPIProcess, MPIWorld
 
 
@@ -98,25 +106,114 @@ class Communicator:
             f"rank={self.rank}/{self.size}>"
         )
 
-    # -- point-to-point (delegates to the process handle) ---------------------
+    # -- point-to-point ------------------------------------------------------------
     def send(self, dest: int, size_bytes: int, value: Any = None, tag: int = 0):
-        """Generator: blocking send to *dest* in this communicator."""
-        yield from self.proc.send(self, dest, size_bytes, value, tag)
+        """Generator: blocking standard-mode send to *dest*.
+
+        Eager below the world's threshold (completes on network
+        acceptance), rendezvous above it (completes once the receiver
+        has posted a matching receive and the data has drained).
+        """
+        if size_bytes < 0:
+            raise MPIError(f"negative message size {size_bytes}")
+        proc = self.proc
+        world = self.world
+        gpid = self._gpid
+        ctx = self.context_id
+        dst_gpid = self.remote_gpid(dest)
+        dst_ep = world.endpoint_of(dst_gpid)
+        my_rank = self.rank
+        seq = next(proc._seq)
+        world._m_sent.add(1)
+        world._m_sent_bytes.add(size_bytes)
+        tr = proc.sim.trace
+        if tr:
+            tr.record(
+                "mpi.send", src_rank=my_rank, dest=dest, size=size_bytes,
+                tag=tag, context=ctx,
+            )
+        transport = world.transport
+        src_ep = proc.endpoint
+        if size_bytes <= world.eager_threshold:
+            header = PacketHeader(
+                "eager", ctx, gpid, dst_gpid, my_rank, tag, seq, size_bytes, value,
+            )
+            msg = Message(
+                src=src_ep, dst=dst_ep,
+                size_bytes=size_bytes + HEADER_BYTES, payload=header,
+            )
+            yield from transport.send_message(msg)
+            return
+        # Rendezvous: RTS -> (wait CTS) -> DATA.
+        rts = PacketHeader("rts", ctx, gpid, dst_gpid, my_rank, tag, seq, size_bytes)
+        yield from transport.send_message(
+            Message(src=src_ep, dst=dst_ep, size_bytes=HEADER_BYTES, payload=rts)
+        )
+        yield proc._inbox.get(key=protocol_key(gpid, "cts", dst_gpid, seq))
+        data = PacketHeader(
+            "data", ctx, gpid, dst_gpid, my_rank, tag, seq, size_bytes, value,
+        )
+        yield from transport.send_message(
+            Message(
+                src=src_ep, dst=dst_ep,
+                size_bytes=size_bytes + HEADER_BYTES, payload=data,
+            )
+        )
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: blocking receive; returns ``(value, Status)``."""
-        result = yield from self.proc.recv(self, source, tag)
-        return result
+        proc = self.proc
+        gpid = self._gpid
+        ctx = self.context_id
+        inbox = proc._inbox
+        src_gpid = None if source == ANY_SOURCE else self.remote_gpid(source)
+        if src_gpid is None or tag == ANY_TAG:
+            msg = yield inbox.get(make_match(gpid, ctx, src_gpid, tag))
+        else:
+            msg = yield inbox.get(key=envelope_key(gpid, ctx, src_gpid, tag))
+        world = self.world
+        world._m_matched.add(1)
+        header: PacketHeader = msg.payload
+        overhead = proc._iface.recv_overhead_s
+        if overhead > 0:
+            yield proc.sim.timeout(overhead)
+        if header.kind == "eager":
+            return header.value, Status(header.src_rank, header.tag, header.size_bytes)
+        # Rendezvous: grant the sender and wait for the bulk data.
+        cts = PacketHeader(
+            "cts", header.context_id, gpid, header.src_gpid,
+            -1, header.tag, header.seq, HEADER_BYTES,
+        )
+        src_ep = world.endpoint_of(header.src_gpid)
+        yield from world.transport.send_message(
+            Message(src=proc.endpoint, dst=src_ep, size_bytes=HEADER_BYTES, payload=cts)
+        )
+        data_msg = yield inbox.get(
+            key=protocol_key(gpid, "data", header.src_gpid, header.seq)
+        )
+        data_header: PacketHeader = data_msg.payload
+        return data_header.value, Status(
+            header.src_rank, header.tag, data_header.size_bytes
+        )
 
     def isend(
         self, dest: int, size_bytes: int, value: Any = None, tag: int = 0
-    ) -> "Request":
-        """Nonblocking send."""
-        return self.proc.isend(self, dest, size_bytes, value, tag)
+    ) -> Request:
+        """Nonblocking send; returns a :class:`Request`."""
+        sim = self.proc.sim
+        op = sim.process(
+            self.send(dest, size_bytes, value, tag),
+            name=f"isend:{self._gpid}->{dest}",
+        )
+        return Request(sim, op, kind="isend")
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Nonblocking receive."""
-        return self.proc.irecv(self, source, tag)
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """Nonblocking receive; the request's result is ``(value, Status)``."""
+        sim = self.proc.sim
+        op = sim.process(
+            self.recv(source, tag), name=f"irecv:{self._gpid}<-{source}"
+        )
+        return Request(sim, op, kind="irecv")
 
     def sendrecv(
         self,
@@ -127,24 +224,34 @@ class Communicator:
         send_tag: int = 0,
         recv_tag: int = ANY_TAG,
     ):
-        """Generator: combined send+receive."""
-        result = yield from self.proc.sendrecv(
-            self, dest, send_size, send_value, source, send_tag, recv_tag
-        )
+        """Generator: simultaneous send and receive (deadlock-free)."""
+        sreq = self.isend(dest, send_size, send_value, send_tag)
+        rreq = self.irecv(source, recv_tag)
+        result = yield from rreq.wait()
+        yield from sreq.wait()
         return result
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking probe; returns Status or None."""
-        return self.proc.probe(self, source, tag)
+        """Nonblocking probe of the unexpected queue.
+
+        Returns a :class:`Status` if a matching envelope is buffered,
+        else ``None``.  (Not a generator — costs no simulated time.)
+        """
+        src_gpid = None if source == ANY_SOURCE else self.remote_gpid(source)
+        msg = self.proc._inbox.peek_match(
+            make_match(self._gpid, self.context_id, src_gpid, tag)
+        )
+        if msg is None:
+            return None
+        h: PacketHeader = msg.payload
+        return Status(h.src_rank, h.tag, h.size_bytes)
 
     def send_init(self, dest: int, size_bytes: int, value: Any = None, tag: int = 0):
         """Persistent-send template (``MPI_Send_init``)."""
-        from repro.mpi.request import PersistentRequest
-
         return PersistentRequest(
             self.proc.sim,
             lambda: self.proc.sim.process(
-                self.proc.send(self, dest, size_bytes, value, tag),
+                self.send(dest, size_bytes, value, tag),
                 name=f"psend:{self.rank}->{dest}",
             ),
             kind="persistent-send",
@@ -152,12 +259,10 @@ class Communicator:
 
     def recv_init(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Persistent-receive template (``MPI_Recv_init``)."""
-        from repro.mpi.request import PersistentRequest
-
         return PersistentRequest(
             self.proc.sim,
             lambda: self.proc.sim.process(
-                self.proc.recv(self, source, tag),
+                self.recv(source, tag),
                 name=f"precv:{self.rank}<-{source}",
             ),
             kind="persistent-recv",
@@ -267,8 +372,6 @@ class Communicator:
         may be in flight simultaneously — they must still be *started*
         in the same order on every rank (the MPI rule).
         """
-        from repro.mpi.request import Request
-
         tag = self._nb_tag()
         proc = self.proc.sim.process(
             coll.barrier(self, tag=tag), name=f"ibarrier:{self.rank}"
@@ -277,8 +380,6 @@ class Communicator:
 
     def ibcast(self, value: Any = None, root: int = 0, size_bytes: int = 8):
         """Nonblocking broadcast; the request's result is the value."""
-        from repro.mpi.request import Request
-
         tag = self._nb_tag()
         proc = self.proc.sim.process(
             coll.bcast(self, value, root, size_bytes, tag=tag),
@@ -288,8 +389,6 @@ class Communicator:
 
     def ireduce(self, value: Any, op: Op = SUM, root: int = 0, size_bytes: int = 8):
         """Nonblocking reduction; result at root, None elsewhere."""
-        from repro.mpi.request import Request
-
         tag = self._nb_tag()
         proc = self.proc.sim.process(
             coll.reduce(self, value, op, root, size_bytes, tag=tag),

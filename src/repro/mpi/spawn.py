@@ -176,7 +176,7 @@ def comm_spawn(
             world, proc, comm.group, child_group, inter_ctx
         )
         parent_view.failure_event = desc.failure_event
-        yield from proc.recv(parent_view, source=0, tag=SPAWN_TAG)
+        yield from parent_view.recv(source=0, tag=SPAWN_TAG)
     else:
         desc = None
         parent_view = None
@@ -294,8 +294,6 @@ def _child_bootstrap(
     yield child.sim.timeout(startup_time_s)
     if rank == 0:
         # Child rank 0 tells the parent root the world is up.
-        yield from child.send(
-            child.parent_comm, desc.parent_root, 32, None, SPAWN_TAG
-        )
+        yield from child.parent_comm.send(desc.parent_root, 32, None, SPAWN_TAG)
     value = yield from _run_main(entry, child)
     return value

@@ -7,8 +7,11 @@ context-id agreement used by communicator-creating collectives, and the
 command registry + spawn backend used by ``MPI_Comm_spawn``.
 
 Each simulated MPI rank is driven by one simulation process executing
-``main(proc)`` where ``proc`` is its :class:`MPIProcess` handle.  Every
-communication method on the handle is a generator to ``yield from``.
+``main(proc)`` where ``proc`` is its :class:`MPIProcess` handle.  The
+handle holds the rank's state; the rank sends and receives through its
+communicators (``proc.comm_world``, ``proc.parent_comm`` and those
+derived from them), whose communication methods are generators to
+``yield from``.
 """
 
 from __future__ import annotations
@@ -21,21 +24,10 @@ from repro.errors import (
     CommunicatorError,
     MPIError,
     OwnerFreedError,
-    RankError,
     RoutingError,
-    SpawnError,
 )
 from repro.mpi.group import Group
-from repro.mpi.pt2pt import (
-    HEADER_BYTES,
-    PacketHeader,
-    envelope_key,
-    make_match,
-    packet_key,
-    protocol_key,
-)
-from repro.mpi.request import Request
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
+from repro.mpi.pt2pt import packet_key
 from repro.network.fabric import Fabric
 from repro.network.message import Message
 from repro.network.smfu import ClusterBoosterBridge
@@ -101,6 +93,10 @@ class Transport:
 class MPIProcess:
     """Per-rank MPI handle (think: this rank's libmpi state).
 
+    It holds the rank's state: its gpid, endpoint, node, port and
+    send sequence.  The rank's communicators send and receive; the
+    handle itself only computes, waits and spawns.
+
     The world owns its ranks, so a rank holds its world only weakly:
     the caller keeps the :class:`MPIWorld` referenced while the ranks
     run.
@@ -155,165 +151,6 @@ class MPIProcess:
     def elapse(self, seconds: float):
         """Generator: let simulated time pass (pure delay, no cores held)."""
         yield self.sim.timeout(seconds)
-
-    # -- point-to-point ------------------------------------------------------
-    def send(
-        self,
-        comm: "Communicator",
-        dest: int,
-        size_bytes: int,
-        value: Any = None,
-        tag: int = 0,
-    ):
-        """Generator: blocking standard-mode send.
-
-        Eager below the world's threshold (completes on network
-        acceptance), rendezvous above it (completes once the receiver
-        has posted a matching receive and the data has drained).
-        """
-        if size_bytes < 0:
-            raise MPIError(f"negative message size {size_bytes}")
-        world = self.world
-        dst_gpid = comm.remote_gpid(dest)
-        dst_ep = world.endpoint_of(dst_gpid)
-        my_rank = comm.rank
-        seq = next(self._seq)
-        world._m_sent.add(1)
-        world._m_sent_bytes.add(size_bytes)
-        tr = self.sim.trace
-        if tr:
-            tr.record(
-                "mpi.send", src_rank=my_rank, dest=dest, size=size_bytes,
-                tag=tag, context=comm.context_id,
-            )
-        transport = world.transport
-        if size_bytes <= world.eager_threshold:
-            header = PacketHeader(
-                "eager", comm.context_id, self.gpid, dst_gpid, my_rank,
-                tag, seq, size_bytes, value,
-            )
-            msg = Message(
-                src=self.endpoint, dst=dst_ep,
-                size_bytes=size_bytes + HEADER_BYTES, payload=header,
-            )
-            yield from transport.send_message(msg)
-            return
-        # Rendezvous: RTS -> (wait CTS) -> DATA.
-        rts = PacketHeader(
-            "rts", comm.context_id, self.gpid, dst_gpid, my_rank,
-            tag, seq, size_bytes,
-        )
-        yield from transport.send_message(
-            Message(src=self.endpoint, dst=dst_ep, size_bytes=HEADER_BYTES, payload=rts)
-        )
-        yield self._inbox.get(key=protocol_key(self.gpid, "cts", dst_gpid, seq))
-        data = PacketHeader(
-            "data", comm.context_id, self.gpid, dst_gpid, my_rank,
-            tag, seq, size_bytes, value,
-        )
-        yield from transport.send_message(
-            Message(
-                src=self.endpoint, dst=dst_ep,
-                size_bytes=size_bytes + HEADER_BYTES, payload=data,
-            )
-        )
-
-    def recv(
-        self,
-        comm: "Communicator",
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-    ):
-        """Generator: blocking receive.  Returns ``(value, Status)``."""
-        ctx = comm.context_id
-        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
-        if src_gpid is None or tag == ANY_TAG:
-            msg = yield self._inbox.get(make_match(self.gpid, ctx, src_gpid, tag))
-        else:
-            msg = yield self._inbox.get(key=envelope_key(self.gpid, ctx, src_gpid, tag))
-        world = self.world
-        world._m_matched.add(1)
-        header: PacketHeader = msg.payload
-        overhead = self._iface.recv_overhead_s
-        if overhead > 0:
-            yield self.sim.timeout(overhead)
-        if header.kind == "eager":
-            return header.value, Status(header.src_rank, header.tag, header.size_bytes)
-        # Rendezvous: grant the sender and wait for the bulk data.
-        cts = PacketHeader(
-            "cts", header.context_id, self.gpid, header.src_gpid,
-            -1, header.tag, header.seq, HEADER_BYTES,
-        )
-        src_ep = world.endpoint_of(header.src_gpid)
-        yield from world.transport.send_message(
-            Message(src=self.endpoint, dst=src_ep, size_bytes=HEADER_BYTES, payload=cts)
-        )
-        data_msg = yield self._inbox.get(
-            key=protocol_key(self.gpid, "data", header.src_gpid, header.seq)
-        )
-        data_header: PacketHeader = data_msg.payload
-        return data_header.value, Status(
-            header.src_rank, header.tag, data_header.size_bytes
-        )
-
-    def isend(
-        self,
-        comm: "Communicator",
-        dest: int,
-        size_bytes: int,
-        value: Any = None,
-        tag: int = 0,
-    ) -> Request:
-        """Nonblocking send; returns a :class:`Request`."""
-        proc = self.sim.process(
-            self.send(comm, dest, size_bytes, value, tag),
-            name=f"isend:{self.gpid}->{dest}",
-        )
-        return Request(self.sim, proc, kind="isend")
-
-    def irecv(
-        self,
-        comm: "Communicator",
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-    ) -> Request:
-        """Nonblocking receive; the request's result is ``(value, Status)``."""
-        proc = self.sim.process(
-            self.recv(comm, source, tag), name=f"irecv:{self.gpid}<-{source}"
-        )
-        return Request(self.sim, proc, kind="irecv")
-
-    def sendrecv(
-        self,
-        comm: "Communicator",
-        dest: int,
-        send_size: int,
-        send_value: Any = None,
-        source: int = ANY_SOURCE,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-    ):
-        """Generator: simultaneous send and receive (deadlock-free)."""
-        sreq = self.isend(comm, dest, send_size, send_value, send_tag)
-        rreq = self.irecv(comm, source, recv_tag)
-        result = yield from rreq.wait()
-        yield from sreq.wait()
-        return result
-
-    def probe(self, comm: "Communicator", source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking probe of the unexpected queue.
-
-        Returns a :class:`Status` if a matching envelope is buffered,
-        else ``None``.  (Not a generator — costs no simulated time.)
-        """
-        src_gpid = None if source == ANY_SOURCE else comm.remote_gpid(source)
-        msg = self._inbox.peek_match(
-            make_match(self.gpid, comm.context_id, src_gpid, tag)
-        )
-        if msg is None:
-            return None
-        h: PacketHeader = msg.payload
-        return Status(h.src_rank, h.tag, h.size_bytes)
 
     # -- spawn ----------------------------------------------------------------
     def spawn(

@@ -155,8 +155,6 @@ class Fabric:
             self.links[(u, v)] = Link(sim, link_spec, name=f"{name}:{u}->{v}")
             self.links[(v, u)] = Link(sim, link_spec, name=f"{name}:{v}->{u}")
         self._interfaces: dict[str, NetworkInterface] = {}
-        self.records: list[TransferRecord] = []
-        self.record_transfers = False
         # Metric handles (no-ops unless the simulator enables metrics).
         m = sim.metrics
         self._m_transfers = m.counter("net.transfers")
@@ -418,8 +416,6 @@ class Fabric:
     ) -> TransferRecord:
         now = self.sim.now
         rec = TransferRecord(src, dst, size, start, now, hops, kind)
-        if self.record_transfers:
-            self.records.append(rec)
         self._m_transfers.add(1)
         self._m_bytes.add(size)
         self._h_transfer.observe(now - start)

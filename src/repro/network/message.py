@@ -56,8 +56,3 @@ class TransferRecord:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    @property
-    def bandwidth(self) -> float:
-        """Achieved bandwidth in bytes/s (0 for zero-duration transfers)."""
-        return self.size_bytes / self.duration if self.duration > 0 else 0.0

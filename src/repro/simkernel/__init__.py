@@ -28,7 +28,6 @@ from repro.simkernel.process import Process
 from repro.simkernel.simulator import Simulator
 from repro.simkernel.resources import (
     Channel,
-    PreemptionError,
     PriorityResource,
     Resource,
     Store,
@@ -41,7 +40,6 @@ __all__ = [
     "AnyOf",
     "Channel",
     "Event",
-    "PreemptionError",
     "PriorityResource",
     "Process",
     "RandomStreams",

@@ -71,9 +71,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Resume the generator with *event*'s outcome.
 
-        This is the kernel's single hottest function (it runs once per
-        process resumption), so the body of :meth:`_advance` is copied
-        inline rather than called — keep the two in sync.
+        This is the kernel's single hottest function: it runs once per
+        process resumption, and it is the only code that drives a
+        generator.
         """
         if self._value is not _PENDING:
             # Already finished (e.g. killed before its start event
@@ -151,61 +151,9 @@ class Process(Event):
             # registration: a dead process must not consume items.
             if target._abandon is not None and not target.triggered:
                 target._abandon()
-        self._target = None
-        self._advance(True, exc)
-
-    def _advance(self, throwing: bool, payload: Any) -> None:
-        """Drive the generator one step and wire up the yielded event.
-
-        *throwing* selects ``generator.throw(payload)`` over
-        ``generator.send(payload)``.  An invalid yield loops back as a
-        throw instead of recursing.  :meth:`_resume` inlines this body
-        for speed — keep the two in sync.
-        """
-        sim = self.sim
-        generator = self.generator
-        while True:
-            prev = sim._active_process
-            sim._active_process = self
-            try:
-                if throwing:
-                    target = generator.throw(payload)
-                else:
-                    target = generator.send(payload)
-            except StopIteration as stop:
-                sim._live_processes -= 1
-                # succeed() before restoring the active process: the
-                # finish-wake of anyone awaiting us is caused by *us*.
-                self.succeed(stop.value)
-                sim._active_process = prev
-                return
-            except BaseException as exc:
-                sim._live_processes -= 1
-                self.fail(exc)
-                sim._active_process = prev
-                return
-            sim._active_process = prev
-
-            if isinstance(target, Event) and target.sim is sim:
-                break
-            throwing = True
-            if isinstance(target, Event):
-                payload = SimulationError(
-                    f"process {self.name!r} yielded an event of a different simulator"
-                )
-            else:
-                payload = SimulationError(
-                    f"process {self.name!r} yielded {target!r}, which is not an Event"
-                )
-        self._target = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            # Already processed: resume immediately (still via scheduler to
-            # keep resumption ordering deterministic).
-            relay = Event(sim, name="relay")
-            relay.callbacks.append(self._resume)
-            relay._set(target._ok, target._value)
-            # No _cause on relays: see _resume.
-            sim._schedule(relay)
-        else:
-            callbacks.append(self._resume)
+        # Throw through _resume with a failed event that is never
+        # scheduled: it takes no eid and carries no _cause, so the
+        # throw schedules nothing of its own and records no wake edge.
+        thrown = Event(self.sim, name="throw")
+        thrown._set(False, exc)
+        self._resume(thrown)

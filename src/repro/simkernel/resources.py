@@ -24,10 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.simulator import Simulator
 
 
-class PreemptionError(SimulationError):
-    """Raised inside a process whose resource slot was preempted."""
-
-
 class Request(Event):
     """A pending claim on one or more :class:`Resource` slots.
 

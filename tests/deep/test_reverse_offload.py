@@ -30,8 +30,8 @@ def test_booster_world_spawns_cluster_helpers():
         out.setdefault("helper_endpoints", []).append(proc.endpoint)
         out["helper_sum"] = v
         if cw.rank == 0:
-            val, st = yield from proc.recv(proc.parent_comm, source=0)
-            yield from proc.send(proc.parent_comm, st.source, 8, val + 100)
+            val, st = yield from proc.parent_comm.recv(source=0)
+            yield from proc.parent_comm.send(st.source, 8, val + 100)
 
     system.register_command("helper", helper)
 
@@ -41,8 +41,8 @@ def test_booster_world_spawns_cluster_helpers():
             cw, "helper", 3, info={"partition": "cluster"}
         )
         if cw.rank == 0:
-            yield from proc.send(inter, 0, 64, value=5)
-            v, _ = yield from proc.recv(inter, source=0)
+            yield from inter.send(0, 64, value=5)
+            v, _ = yield from inter.recv(source=0)
             out["reply"] = v
         yield from cw.barrier()
 

@@ -29,6 +29,8 @@ from repro.deep import (
 )
 from repro.network.extoll import EXTOLL_TOURMALET
 from repro.simkernel import Simulator
+from repro.simkernel import trace as trace_module
+from repro.simkernel.trace import TraceRecorder
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -150,6 +152,49 @@ class TestDeterminismAndPerturbation:
         out = capsys.readouterr().out
         assert "SIMULATED RESULTS MOVED" in out
         assert "update SCENARIO_DIGEST_OBSERVED in" in out
+
+    @pytest.mark.parametrize("change", ["rename every process", "add a span field"])
+    def test_observed_digest_pins_the_trace_content(self, monkeypatch, change):
+        """Each change keeps the trace's four counts and the blame, so a
+        digest of the counts cannot see it; the observed digest must."""
+        path = REPO_ROOT / "scripts" / "check_determinism.py"
+        spec = importlib.util.spec_from_file_location("check_determinism", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        sims = []
+
+        def simulator(*args, **kwargs):
+            sims.append(Simulator(*args, **kwargs))
+            return sims[-1]
+
+        monkeypatch.setattr(script, "Simulator", simulator)
+        pinned = script.run_scenario(observe=True)
+        if change == "rename every process":
+            pid_of = TraceRecorder.pid_of
+
+            def renaming_pid_of(recorder, proc):
+                new = proc not in recorder._pids
+                pid = pid_of(recorder, proc)
+                if new:
+                    recorder.proc_names[pid] += "'"
+                return pid
+
+            monkeypatch.setattr(TraceRecorder, "pid_of", renaming_pid_of)
+        else:
+            span_record = trace_module.SpanRecord
+            monkeypatch.setattr(
+                trace_module, "SpanRecord",
+                lambda *args: span_record(*args[:7], {**args[7], "moved": 1}),
+            )
+        changed = script.run_scenario(observe=True)
+
+        def counts(sim):
+            tr = sim.trace
+            return len(tr.events), len(tr.spans), len(tr.wakes), len(tr.counters)
+
+        assert counts(sims[1]) == counts(sims[0])
+        assert changed["blame"] == pinned["blame"]
+        assert script.digest(changed) != script.digest(pinned)
 
     def test_tracing_does_not_perturb_simulated_results(self):
         traced, traced_result = run_offload(observe=True)

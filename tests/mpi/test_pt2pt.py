@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.errors import DeadlockError, MPIError
-from repro.mpi import ANY_SOURCE, ANY_TAG
+from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator, MPIProcess
 from repro.mpi.request import wait_all, wait_any
 
 from tests.mpi.conftest import WorldHarness
@@ -303,17 +303,17 @@ def test_named_receives_wait_on_their_packet_key():
 def test_receive_predicates_are_freed_with_their_job(monkeypatch):
     """A wildcard receive, the one receive that still builds a
     predicate, must not keep it alive past its job."""
-    from repro.mpi import world as world_module
+    from repro.mpi import communicator as communicator_module
 
     made = []
-    make_match = world_module.make_match
+    make_match = communicator_module.make_match
 
     def tracked(*args):
         pred = make_match(*args)
         made.append(weakref.ref(pred))
         return pred
 
-    monkeypatch.setattr(world_module, "make_match", tracked)
+    monkeypatch.setattr(communicator_module, "make_match", tracked)
 
     def main(proc):
         cw = proc.comm_world
@@ -327,3 +327,11 @@ def test_receive_predicates_are_freed_with_their_job(monkeypatch):
     gc.collect()
     assert [ref() for ref in made] == [None] * len(made)
 
+
+
+def test_communicators_are_the_only_point_to_point_api():
+    """A rank sends and receives through its communicators; the rank's
+    handle keeps only its state."""
+    names = ("send", "recv", "isend", "irecv", "sendrecv", "probe")
+    assert [n for n in names if hasattr(MPIProcess, n)] == []
+    assert [n for n in names if n not in vars(Communicator)] == []

@@ -63,9 +63,9 @@ def test_parent_child_pt2pt_both_directions():
     out = {}
 
     def child(proc):
-        v, st = yield from proc.recv(proc.parent_comm, source=0)
+        v, st = yield from proc.parent_comm.recv(source=0)
         out["child_got"] = (v, st.source)
-        yield from proc.send(proc.parent_comm, 0, 64, value=v * 2)
+        yield from proc.parent_comm.send(0, 64, value=v * 2)
 
     h.world.register_command("child", child)
 
@@ -73,8 +73,8 @@ def test_parent_child_pt2pt_both_directions():
         cw = proc.comm_world
         inter = yield from proc.spawn(cw, "child", 1)
         if cw.rank == 0:
-            yield from proc.send(inter, 0, 64, value=21)
-            v, _ = yield from proc.recv(inter, source=0)
+            yield from inter.send(0, 64, value=21)
+            v, _ = yield from inter.recv(source=0)
             out["parent_got"] = v
         yield from cw.barrier()
 

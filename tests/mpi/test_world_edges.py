@@ -111,24 +111,6 @@ def test_interface_byte_counters():
     assert iface1.bytes_received >= 1000
 
 
-def test_fabric_transfer_records_toggle():
-    h = WorldHarness(2)
-    h.fabric.record_transfers = True
-
-    def main(proc):
-        cw = proc.comm_world
-        if cw.rank == 0:
-            yield from cw.send(1, 4096)
-        else:
-            yield from cw.recv(0)
-
-    h.run(main)
-    assert len(h.fabric.records) >= 1
-    rec = h.fabric.records[0]
-    assert rec.bandwidth > 0
-    assert rec.duration > 0
-
-
 def test_intercomm_local_comm():
     h = BridgedHarness(n_cn=3)
     out = {}

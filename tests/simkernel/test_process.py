@@ -132,3 +132,92 @@ def test_two_processes_interleave(sim):
     assert times == sorted(times)
     assert log[-1] == ("b", 4.5)
     assert [t for tag, t in log if tag == "a"] == [1.0, 2.0, 3.0]
+
+
+def _kill_at(sim, when, victim):
+    """Start a process that kills *victim* at *when*; returns its log."""
+    log = []
+
+    def killer(sim):
+        yield sim.timeout(when)
+        victim.kill()
+        log.append(("kill returned", sim.now))
+
+    sim.process(killer(sim), name="killer")
+    return log
+
+
+def test_killed_process_waiting_on_a_processed_event_resumes_via_relay(sim):
+    early = sim.timeout(1.0, value="early")
+    log = []
+
+    def victim(sim):
+        try:
+            yield sim.timeout(100.0)
+        except ProcessKilled:
+            log.append(("killed", sim.now))
+        value = yield early
+        log.append((value, sim.now))
+        return "done"
+
+    p = sim.process(victim(sim))
+    log_killer = _kill_at(sim, 2.0, p)
+    sim.run()
+    # The kill is thrown in at once; the processed event then resumes
+    # the victim through the scheduler, after the kill has returned.
+    assert log == [("killed", 2.0), ("early", 2.0)]
+    assert log_killer == [("kill returned", 2.0)]
+    assert p.value == "done"
+
+
+def test_killed_process_yielding_a_non_event_gets_simulation_error(sim):
+    log = []
+
+    def victim(sim):
+        try:
+            yield sim.timeout(100.0)
+        except ProcessKilled:
+            pass
+        try:
+            yield "not an event"
+        except SimulationError as exc:
+            log.append((str(exc), sim.now))
+
+    p = sim.process(victim(sim), name="victim")
+    _kill_at(sim, 2.0, p)
+    sim.run()
+    assert log == [("process 'victim' yielded 'not an event', which is not an Event", 2.0)]
+    assert p.ok and not p.is_alive
+
+
+def test_kill_records_no_wake_edge():
+    sim = Simulator(observe=True)
+
+    def victim(sim):
+        try:
+            yield sim.timeout(100.0)
+        except ProcessKilled:
+            yield sim.timeout(1.0)
+
+    p = sim.process(victim(sim), name="victim")
+    _kill_at(sim, 2.0, p)
+    sim.run()
+    assert p.ok
+    names = sim.trace.proc_names
+    assert [w for w in sim.trace.wakes if names[w[3]] == "victim"] == []
+
+
+def test_kill_schedules_only_the_killed_process_failure():
+    sim = Simulator(observe=True)
+
+    def victim(sim):
+        yield sim.timeout(100.0)
+
+    p = sim.process(victim(sim))
+    sim.run(until=1.0)
+    scheduled = sim.profile_stats()["events_scheduled"]
+    p.kill()
+    assert sim.profile_stats()["events_scheduled"] == scheduled + 1
+    assert isinstance(p.value, ProcessKilled)
+    sim.run()
+    assert sim.now == 100.0

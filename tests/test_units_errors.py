@@ -77,7 +77,6 @@ def test_everything_is_a_repro_error():
 def test_mpi_error_subtree():
     assert issubclass(errors.RankError, errors.MPIError)
     assert issubclass(errors.SpawnError, errors.MPIError)
-    assert issubclass(errors.TruncationError, errors.MPIError)
 
 
 def test_deadlock_error_payload():
